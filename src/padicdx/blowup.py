@@ -188,8 +188,9 @@ def fiber_sum_check(P: DiffOp, B: BlowupModel) -> bool:
     """Multiplicity bookkeeping across the blow-up.
 
     True when, over every base support point, the multiplicities of the
-    blow-up support points above it sum to the base multiplicity, and the
-    degree in the derivation is preserved by transport.
+    blow-up support points above it, each weighted by its residue degree,
+    sum to the base multiplicity, and the degree in the derivation is
+    preserved by transport.
     """
     if P.is_zero():
         raise ZeroOperator("zero operator")
@@ -209,7 +210,7 @@ def fiber_sum_check(P: DiffOp, B: BlowupModel) -> bool:
             off_center[pt.minimal_poly] = mult
 
     over_center = sum(
-        mult for cp, mult in above if cp.chart in (Chart.U1, Chart.CROSSING)
+        mult * cp.point.degree for cp, mult in above if cp.chart != Chart.U2
     )
     if over_center != base_at_center:
         return False

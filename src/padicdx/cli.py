@@ -48,20 +48,6 @@ from .weyl import ConnectionMatrix, commutator, connection_level
 
 ENV_PRIME = "PADICDX_DEFAULT_PRIME"
 
-SUBCOMMANDS = (
-    "norm",
-    "order",
-    "commutator",
-    "micro-check",
-    "micro-invert",
-    "thm28",
-    "charvar",
-    "blowup-support",
-    "fiber-check",
-    "connection-level",
-    "render",
-)
-
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -149,7 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _session(args) -> SessionConfig:
     prime = args.prime
     if prime is None:
-        prime = int(os.environ.get(ENV_PRIME, "2"))
+        try:
+            prime = int(os.environ.get(ENV_PRIME, "2"))
+        except ValueError as e:
+            raise ConfigError(f"{ENV_PRIME}: {e}") from None
     blowup = None
     if args.blowup is not None:
         blowup = parse_blowup_spec(args.blowup, prime)

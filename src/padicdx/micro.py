@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     BadLevels,
@@ -104,10 +105,6 @@ class MicroOp:
     def coefficient(self, n: int) -> TatePoly:
         return self.coeffs.get(n, TatePoly.zero(self.p, self.var))
 
-    def has_constant_coefficients(self) -> bool:
-        """Whether all coefficients are scalars (the commutative part)."""
-        return all(c.is_constant() for c in self.coeffs.values())
-
     def _merge_var(self, other: "MicroOp") -> str:
         mine = self.var if any(not c.is_constant() for c in self.coeffs.values()) else None
         theirs = (
@@ -148,7 +145,7 @@ class MicroOp:
         out = []
         for n in sorted(self.coeffs):
             weight = k * n if n >= 0 else r * n
-            vector = [str(c.value) for c in self.coeffs[n].coeffs]
+            vector = [str(Fraction(a, self.coeffs[n].den)) for a in self.coeffs[n].num]
             out.append([n, vector, -weight])
         return out
 
@@ -353,7 +350,8 @@ def micro_unit_verdict(S: MicroOp, k: int, r: int):
     Checks, on the level-k rescaled coefficients: a unique coefficient of
     maximal norm, contraction of the shifted tail (exactly the condition
     that the geometric series for the inverse converges in the (k, r)
-    norm), and invertibility of the dominant coefficient on the disc.
+    norm; the lowest failing offset is reported), and invertibility of
+    the dominant coefficient on the disc.
     When only the last condition fails, the verdict carries the reduction
     of the normalized dominant coefficient, whose zeros are the
     obstruction.
@@ -368,7 +366,7 @@ def micro_unit_verdict(S: MicroOp, k: int, r: int):
     if len(candidates) != 1:
         return NotInvertible("no unique coefficient of maximal norm")
     q = candidates[0]
-    for idx, e in exps.items():
+    for idx, e in sorted(exps.items()):
         n = idx - q
         if n == 0:
             continue

@@ -102,6 +102,8 @@ _TOK_INT = "int"
 _TOK_SYM = "sym"
 _TOK_OP = "op"
 _TOK_EOF = "eof"
+# str.isdigit would also accept superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(src: str) -> list[tuple[str, object, int]]:
@@ -113,17 +115,17 @@ def _tokenize(src: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             num = int(src[i:j])
             if j < n and src[j] == "/":
                 k = j + 1
-                if k >= n or not src[k].isdigit():
+                if k >= n or src[k] not in _DIGITS:
                     raise ParseError("expected digits after '/'", j)
                 m = k
-                while m < n and src[m].isdigit():
+                while m < n and src[m] in _DIGITS:
                     m += 1
                 den = int(src[k:m])
                 if den == 0:
@@ -352,10 +354,6 @@ class _Normalizer:
         self.var: str | None = None
         self.default_var = default_var
 
-    def run(self, node) -> MicroOp:
-        result = self.eval(node)
-        return result
-
     def eval(self, node) -> MicroOp:
         p = self.p
         if isinstance(node, Rational):
@@ -413,7 +411,7 @@ class _Normalizer:
 
 def to_micro_op(node, p: int, default_var: str = "x") -> MicroOp:
     """Evaluate a syntax tree in the Laurent operator ring."""
-    return _Normalizer(p, default_var).run(node)
+    return _Normalizer(p, default_var).eval(node)
 
 
 def to_diff_op(node, p: int, default_var: str = "x") -> DiffOp:

@@ -258,13 +258,6 @@ class ResiduePoly:
             [i * c for i, c in enumerate(self.coeffs)][1:], self.p, self.var
         )
 
-    def evaluate(self, a) -> ResidueElem:
-        a = a.value if isinstance(a, ResidueElem) else int(a)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % self.p
-        return ResidueElem(acc, self.p)
-
     def translate(self, c) -> "ResiduePoly":
         """Substitute the variable plus the constant c for the variable."""
         c = c.value if isinstance(c, ResidueElem) else int(c)

@@ -1,21 +1,25 @@
 """Polynomial representatives of functions on the closed unit disc.
 
 A :class:`TatePoly` is a finite coefficient sequence over the exact p-adic
-scalars; the Gauss norm (the maximum of the coefficient norms) is the
-spectral norm of the function it represents and is multiplicative.  The
-module provides normalization to Gauss norm one, reduction to the residue
-field, the dominant-constant-term unit test on the disc, a geometric
-series inverse with an exactly certified residual, and Newton polygon
-data used for locating roots by valuation.
+scalars, held as integer numerators over one common denominator; the Gauss
+norm (the maximum of the coefficient norms) is the spectral norm of the
+function it represents and is multiplicative.  The module provides
+normalization to Gauss norm one, reduction to the residue field, the
+dominant-constant-term unit test on the disc, a geometric series inverse
+with an exactly certified residual, and Newton polygon data used for
+locating roots by valuation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .errors import NormTooLarge, NotAUnit, ZeroInput
 from .residue import ResiduePoly
-from .scalars import NEG_INF, NormExp, PAdicScalar
+from .scalars import NEG_INF, NormExp, PAdicScalar, is_prime
+from .scalars import _fraction_valuation as _val
 
 
 def _as_exp(eps) -> int:
@@ -26,28 +30,54 @@ def _as_exp(eps) -> int:
     return int(eps)
 
 
+def _fraction(value, p: int) -> Fraction:
+    """A coefficient or scalar as a Fraction, checked as PAdicScalar checks."""
+    if isinstance(value, PAdicScalar):
+        if value.p != p:
+            raise ValueError("mixed primes")
+        return value.value
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
+    return Fraction(value)
+
+
+def _make(num: tuple, den: int, p: int, var: str) -> "TatePoly":
+    f = object.__new__(TatePoly)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    object.__setattr__(f, "p", p)
+    object.__setattr__(f, "var", var)
+    return f
+
+
+def _canon(num: list, den: int, p: int, var: str) -> "TatePoly":
+    """The polynomial num/den in canonical form; requires den > 0."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _make((), 1, p, var)
+    g = gcd(den, *num)
+    if g != 1:
+        num = [a // g for a in num]
+        den //= g
+    return _make(tuple(num), den, p, var)
+
+
 class TatePoly:
     """A polynomial over the exact p-adic scalars with a variable symbol.
 
-    Coefficients are stored ascending by degree with trailing zeros
-    trimmed; the zero polynomial has an empty coefficient tuple.
+    The coefficient of degree i is ``num[i] / den``.  The form is
+    canonical: ``den > 0``, ``gcd(den, *num) == 1`` and trailing zeros
+    are trimmed, so the zero polynomial is ``num == ()``, ``den == 1``.
     Constants are compatible with any variable symbol.
     """
 
-    __slots__ = ("coeffs", "p", "var")
+    __slots__ = ("num", "den", "p", "var")
 
-    def __init__(self, coeffs, p: int, var: str = "x"):
-        cs = [
-            c if isinstance(c, PAdicScalar) else PAdicScalar(c, p) for c in coeffs
-        ]
-        for c in cs:
-            if c.p != p:
-                raise ValueError("mixed primes in coefficients")
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "var", var)
+    def __new__(cls, coeffs, p: int, var: str = "x"):
+        fs = [_fraction(c, p) for c in coeffs]
+        den = lcm(*(f.denominator for f in fs))
+        return _canon([f.numerator * (den // f.denominator) for f in fs], den, p, var)
 
     def __setattr__(self, name, value):
         raise AttributeError("TatePoly is immutable")
@@ -56,7 +86,7 @@ class TatePoly:
 
     @classmethod
     def zero(cls, p: int, var: str = "x") -> "TatePoly":
-        return cls((), p, var)
+        return _make((), 1, p, var)
 
     @classmethod
     def one(cls, p: int, var: str = "x") -> "TatePoly":
@@ -74,23 +104,23 @@ class TatePoly:
 
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def coefficient(self, i: int) -> PAdicScalar:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.num):
+            return PAdicScalar(Fraction(self.num[i], self.den), self.p)
         return PAdicScalar.zero(self.p)
 
     def leading(self) -> PAdicScalar:
-        if not self.coeffs:
+        if not self.num:
             raise ZeroInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coefficient(len(self.num) - 1)
 
     def constant_term(self) -> PAdicScalar:
         return self.coefficient(0)
@@ -105,11 +135,7 @@ class TatePoly:
         return self.var
 
     def _check(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TatePoly((PAdicScalar(other, self.p),), self.p, self.var)
-        if isinstance(other, PAdicScalar):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
+        if isinstance(other, (int, Fraction, PAdicScalar)):
             return TatePoly((other,), self.p, self.var)
         if isinstance(other, TatePoly):
             if other.p != self.p:
@@ -124,10 +150,13 @@ class TatePoly:
         if o is None:
             return NotImplemented
         var = self._merge_var(o)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return TatePoly(
-            [self.coefficient(i) + o.coefficient(i) for i in range(n)], self.p, var
-        )
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da != db:
+            g = gcd(da, db)
+            a, b = [x * (db // g) for x in a], [y * (da // g) for y in b]
+            da = da // g * db
+        out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+        return _canon(out, da, self.p, var)
 
     __radd__ = __add__
 
@@ -144,23 +173,21 @@ class TatePoly:
         return o - self
 
     def __neg__(self):
-        return TatePoly([-c for c in self.coeffs], self.p, self.var)
+        return _make(tuple(-a for a in self.num), self.den, self.p, self.var)
 
     def __mul__(self, other):
         o = self._check(other)
         if o is None:
             return NotImplemented
         var = self._merge_var(o)
-        if self.is_zero() or o.is_zero():
+        if not self.num or not o.num:
             return TatePoly.zero(self.p, var)
-        zero = PAdicScalar.zero(self.p)
-        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return TatePoly(out, self.p, var)
+        out = [0] * (len(self.num) + len(o.num) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(o.num):
+                    out[i + j] += x * y
+        return _canon(out, self.den * o.den, self.p, var)
 
     __rmul__ = __mul__
 
@@ -177,19 +204,14 @@ class TatePoly:
         return out
 
     def scale(self, scalar) -> "TatePoly":
-        s = scalar if isinstance(scalar, PAdicScalar) else PAdicScalar(scalar, self.p)
-        return TatePoly([c * s for c in self.coeffs], self.p, self.var)
+        s = _fraction(scalar, self.p)
+        n = s.numerator
+        return _canon([a * n for a in self.num], self.den * s.denominator, self.p, self.var)
 
     def derivative(self) -> "TatePoly":
-        return TatePoly(
-            [c * i for i, c in enumerate(self.coeffs)][1:], self.p, self.var
+        return _canon(
+            [i * a for i, a in enumerate(self.num[1:], 1)], self.den, self.p, self.var
         )
-
-    def evaluate(self, point: PAdicScalar) -> PAdicScalar:
-        acc = PAdicScalar.zero(self.p)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
 
     def compose_linear(
         self, shift: PAdicScalar, stretch: PAdicScalar, new_var: str
@@ -197,27 +219,24 @@ class TatePoly:
         """Substitute shift + stretch * (new variable) for the variable."""
         lin = TatePoly((shift, stretch), self.p, new_var)
         acc = TatePoly.zero(self.p, new_var)
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
-
-    def with_var(self, var: str) -> "TatePoly":
-        return TatePoly(self.coeffs, self.p, var)
+        for a in reversed(self.num):
+            acc = acc * lin + a
+        return acc.scale(Fraction(1, self.den))
 
     def drop_below(self, cutoff_exp: int) -> "TatePoly":
         """Discard coefficients of norm below the cutoff exponent."""
-        zero = PAdicScalar.zero(self.p)
-        return TatePoly(
-            [c if c.norm() >= NormExp(cutoff_exp) else zero for c in self.coeffs],
-            self.p,
-            self.var,
-        )
+        # num[i]/den has norm at least p^cutoff exactly when v(num[i]) <= keep
+        keep = _val(self.den, self.p) - cutoff_exp
+        out = [a if a and _val(a, self.p) <= keep else 0 for a in self.num]
+        return _canon(out, self.den, self.p, self.var)
 
     # norms and reduction
 
     def gauss_norm(self) -> NormExp:
         """Spectral norm: the maximum of the coefficient norms."""
-        return max((c.norm() for c in self.coeffs), default=NEG_INF)
+        if not self.num:
+            return NEG_INF
+        return NormExp(_val(self.den, self.p) - _val(gcd(*self.num), self.p))
 
     def normalize(self) -> tuple["TatePoly", int]:
         """Split off the power of the uniformizer reaching Gauss norm one.
@@ -228,24 +247,24 @@ class TatePoly:
         if self.is_zero():
             raise ZeroInput("cannot normalize the zero polynomial")
         v = -self.gauss_norm().exp
-        return self.scale(PAdicScalar.uniformizer_power(self.p, -v)), v
+        return self.scale(Fraction(self.p) ** -v), v
 
     def reduce(self) -> ResiduePoly:
         """Coefficientwise reduction; requires Gauss norm at most one."""
         if self.gauss_norm() > NormExp(0):
             raise NormTooLarge(f"Gauss norm of {self} exceeds one")
-        return ResiduePoly(
-            [c.reduce_mod_pi().value for c in self.coeffs], self.p, self.var
-        )
+        # in canonical form an integral polynomial has den prime to p
+        inv = pow(self.den, -1, self.p)
+        return ResiduePoly([a * inv for a in self.num], self.p, self.var)
 
     # units on the disc
 
     def is_unit_on_disc(self) -> bool:
         """Dominant constant term test for invertibility on the disc."""
-        if self.is_zero():
+        if not self.num or not self.num[0]:
             return False
-        c0 = self.coeffs[0].norm()
-        return all(c.norm() < c0 for c in self.coeffs[1:])
+        q = self.p ** (_val(self.num[0], self.p) + 1)
+        return all(a % q == 0 for a in self.num[1:])
 
     def invert_on_disc(self, eps) -> tuple["TatePoly", NormExp]:
         """Geometric-series inverse with an exactly certified residual.
@@ -257,11 +276,11 @@ class TatePoly:
         eps_exp = _as_exp(eps)
         if not self.is_unit_on_disc():
             raise NotAUnit(f"{self} is not a unit on the closed disc")
-        c0 = self.coeffs[0]
-        scaled = self.scale(1 / c0)
+        c0_inv = Fraction(self.den, self.num[0])
+        scaled = self.scale(c0_inv)
         tail = scaled - TatePoly.one(self.p, self.var)
         if tail.is_zero():
-            return TatePoly.constant(1 / c0, self.p, self.var), NEG_INF
+            return TatePoly.constant(c0_inv, self.p, self.var), NEG_INF
         tail_exp = tail.gauss_norm().exp
         acc = TatePoly.one(self.p, self.var)
         power = TatePoly.one(self.p, self.var)
@@ -270,7 +289,7 @@ class TatePoly:
             power = power * (-tail)
             acc = acc + power
             bound += tail_exp
-        inverse = acc.scale(1 / c0)
+        inverse = acc.scale(c0_inv)
         residual = (self * inverse - 1).gauss_norm()
         return inverse, residual
 
@@ -284,9 +303,8 @@ class TatePoly:
         zero are not listed; their number is the order of vanishing at
         the origin.
         """
-        pts = [
-            (i, c.valuation()) for i, c in enumerate(self.coeffs) if not c.is_zero()
-        ]
+        vden = _val(self.den, self.p)
+        pts = [(i, _val(a, self.p) - vden) for i, a in enumerate(self.num) if a]
         if not pts:
             raise ZeroInput("zero polynomial has no Newton polygon")
         hull = [pts[0]]
@@ -313,7 +331,7 @@ class TatePoly:
         """
         count = 0
         ord0 = 0
-        while ord0 < len(self.coeffs) and self.coeffs[ord0].is_zero():
+        while ord0 < len(self.num) and not self.num[ord0]:
             ord0 += 1
         if high is None and ord0 > 0:
             count += ord0
@@ -325,7 +343,7 @@ class TatePoly:
     # misc
 
     def _eq_key(self):
-        return (self.p, self.coeffs, self.var if len(self.coeffs) > 1 else "")
+        return (self.p, self.num, self.den, self.var if len(self.num) > 1 else "")
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, PAdicScalar)):
@@ -338,15 +356,15 @@ class TatePoly:
         return hash(self._eq_key())
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts: list[str] = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
+        for i in range(len(self.num) - 1, -1, -1):
+            a = self.num[i]
+            if not a:
                 continue
-            sign = "-" if c.value < 0 else "+"
-            mag = abs(c.value)
+            sign = "-" if a < 0 else "+"
+            mag = Fraction(abs(a), self.den)
             if i == 0:
                 body = str(mag)
             else:
@@ -359,4 +377,5 @@ class TatePoly:
         return "".join(parts)
 
     def __repr__(self):
-        return f"TatePoly({[str(c) for c in self.coeffs]}, p={self.p}, var={self.var!r})"
+        coeffs = [str(Fraction(a, self.den)) for a in self.num]
+        return f"TatePoly({coeffs}, p={self.p}, var={self.var!r})"

@@ -2,13 +2,15 @@
 
 Oracles here deliberately avoid the code paths they check: operator
 products are validated through the action on functions, factorizations
-through exhaustive trial division over the residue field.
+through exhaustive trial division over the residue field, and the
+integer-vector polynomial core through the plain Fraction arithmetic
+below.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import product as iproduct, zip_longest
 
 from padicdx import DiffOp, MicroOp, PAdicScalar, ResiduePoly, TatePoly
 
@@ -106,3 +108,70 @@ def brute_factor(g: ResiduePoly):
         if not found:
             deg += 1
     return sorted(out.items(), key=lambda qm: (qm[0].degree(), qm[0].coeffs))
+
+
+# Fraction oracle for TatePoly: coefficient lists ascending by degree,
+# trailing zeros trimmed, one Fraction per coefficient
+
+
+def frac_coeffs(f: TatePoly) -> list:
+    """The coefficients of f as Fractions, through public accessors."""
+    return [f.coefficient(i).value for i in range(f.degree() + 1)]
+
+
+def frac_trim(cs) -> list:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def frac_add(a, b) -> list:
+    return frac_trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def frac_mul(a, b) -> list:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return frac_trim(out)
+
+
+def frac_scale(a, s) -> list:
+    return frac_trim(c * s for c in a)
+
+
+def frac_derivative(a) -> list:
+    return frac_trim([i * c for i, c in enumerate(a)][1:])
+
+
+def frac_valuation(c: Fraction, p: int) -> int:
+    v, num, den = 0, c.numerator, c.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def frac_gauss_exp(a, p):
+    """Gauss norm exponent (None for zero): the largest -v(c)."""
+    return max((-frac_valuation(c, p) for c in a if c), default=None)
+
+
+def frac_drop_below(a, p, cutoff: int) -> list:
+    return frac_trim(
+        c if c and -frac_valuation(c, p) >= cutoff else 0 for c in a
+    )
+
+
+def frac_compose_linear(a, shift, stretch) -> list:
+    acc: list = []
+    for c in reversed(a):
+        acc = frac_add(frac_mul(acc, [shift, stretch]), [c])
+    return acc

@@ -188,6 +188,27 @@ def test_fiber_sum_fixture_and_examples():
     assert fiber_sum_check(DiffOp({1: x * x, 0: 1}, p), origin_blowup(p))
 
 
+def test_fiber_sum_weights_residue_degree():
+    # above the base point x (mult 4) lie t + 1 (mult 2) and the degree-2
+    # point t^2 + t + 1 (mult 1): 2*1 + 1*2 covers all four roots
+    p = 2
+    lead = TatePoly(
+        [
+            Fraction(-96, 5),
+            Fraction(-528, 5),
+            Fraction(-608, 5),
+            Fraction(156, 5),
+            Fraction(154, 15),
+            Fraction(-28, 15),
+        ],
+        p,
+    )
+    P = DiffOp({1: lead, 0: 1}, p)
+    above = support_on_blowup(P, origin_blowup(p))
+    assert {cp.point.label(): mm for cp, mm in above} == {"t + 1": 2, "t^2 + t + 1": 1}
+    assert fiber_sum_check(P, origin_blowup(p))
+
+
 def test_fiber_sum_random_corpus():
     # leading coefficients built from integral-valuation roots, with an
     # independent recomputation of both sides

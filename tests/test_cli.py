@@ -212,6 +212,22 @@ def test_env_default_prime(capsys, monkeypatch):
     assert doc["prime"] == 3
 
 
+def test_env_default_prime_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("PADICDX_DEFAULT_PRIME", "abc")
+    code, doc = run(capsys, "norm", "d")
+    assert code == 1
+    assert doc["error"]["type"] == "ConfigError"
+
+
+def test_non_ascii_digits_are_parse_errors(capsys):
+    # a superscript two and an Arabic-Indic one are digits to str.isdigit
+    for text in ("x^\u00b2", "x^\u0661"):
+        code, doc = run(capsys, "norm", "-p", "2", text)
+        assert code == 1
+        assert doc["error"]["type"] == "ParseError"
+        assert doc["error"]["position"] == 2
+
+
 def test_blowup_spec_parsing():
     B = parse_blowup_spec("c=0,m=1", 2)
     assert B.center == PAdicScalar.zero(2) and B.m == 1

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -174,6 +175,21 @@ def test_unit_verdict_failure_modes():
     T = MicroOp({0: 1, -1: w(p, -2)}, p)
     assert isinstance(micro_unit_verdict(T, 3, 1), NotInvertible)
     assert isinstance(micro_unit_verdict(T, 3, 3), InvertibleOnDisc)
+
+
+def test_unit_verdict_independent_of_term_order():
+    # (-45/7*x)*d + (-33/4) + (-12/7*x^2 - 7/5)*d^-1 at p=3, k=2, r=1:
+    # offsets -1 and -2 both fail to contract; the lowest is named
+    p = 3
+    terms = [
+        (1, TatePoly([0, Fraction(-45, 7)], p)),
+        (0, TatePoly([Fraction(-33, 4)], p)),
+        (-1, TatePoly([Fraction(-7, 5), 0, Fraction(-12, 7)], p)),
+    ]
+    forward = micro_unit_verdict(MicroOp(dict(terms), p), 2, 1)
+    backward = micro_unit_verdict(MicroOp(dict(reversed(terms)), p), 2, 1)
+    assert forward == backward
+    assert isinstance(forward, NotInvertible) and "offset -2 " in forward.reason
 
 
 def test_micro_invert_exact():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,19 @@ from padicdx import (
     TatePoly,
     ZeroInput,
 )
-from helpers import rand_poly
+from helpers import (
+    frac_add,
+    frac_coeffs,
+    frac_compose_linear,
+    frac_derivative,
+    frac_drop_below,
+    frac_gauss_exp,
+    frac_mul,
+    frac_scale,
+    frac_trim,
+    frac_valuation,
+    rand_poly,
+)
 
 
 def xvar(p):
@@ -185,3 +198,89 @@ def test_printing_round_trip_style():
     assert str(f) == "x^2 - 6*x + 8"
     assert str(TatePoly.zero(p)) == "0"
     assert str(TatePoly([Fraction(1, 2), 1], p)) == "x + 1/2"
+
+
+def _assert_canonical(f):
+    assert f.den > 0 and gcd(f.den, *f.num) == 1
+    assert f.num[-1] != 0 if f.num else f.den == 1
+
+
+def _coefficient(p):
+    """Zero, or a numerator of up to about 400 bits over a denominator of
+    up to 64 bits, times p to a power in -40..40."""
+    nonzero = st.builds(
+        lambda n, d, v: Fraction(n, d) * Fraction(p) ** v,
+        st.integers(-(2**400), 2**400),
+        st.integers(1, 2**64),
+        st.integers(-40, 40),
+    )
+    return st.one_of(st.just(Fraction(0)), nonzero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_integer_core_against_fraction_oracle(p, data):
+    def coeffs(label):
+        # degree -1 (zero) to 60, uniformly: st.integers favours small sizes
+        n = data.draw(st.sampled_from(range(62)), label=f"len({label})")
+        return data.draw(st.lists(_coefficient(p), min_size=n, max_size=n), label=label)
+
+    a, b = coeffs("a"), coeffs("b")
+    s = data.draw(_coefficient(p), label="s")
+    cutoff = data.draw(st.integers(-45, 45), label="cutoff")
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    shift, stretch = data.draw(small, label="shift"), data.draw(small, label="stretch")
+    f, g = TatePoly(a, p), TatePoly(b, p)
+    fa, fb = frac_trim(a), frac_trim(b)
+    # the low half of f: f + (low - f) cancels down to it
+    low = TatePoly(a[: len(a) // 2], p)
+    results = {
+        "f": (f, fa),
+        "f*g": (f * g, frac_mul(fa, fb)),
+        "f+g": (f + g, frac_add(fa, fb)),
+        "f-g": (f - g, frac_add(fa, frac_scale(fb, -1))),
+        "f-f": (f - f, []),
+        "f+(low-f)": (f + (low - f), frac_trim(a[: len(a) // 2])),
+        "scale": (f.scale(s), frac_scale(fa, s)),
+        "derivative": (f.derivative(), frac_derivative(fa)),
+        "drop_below": (f.drop_below(cutoff), frac_drop_below(fa, p, cutoff)),
+        "compose_linear": (
+            f.compose_linear(shift, stretch, "t"),
+            frac_compose_linear(fa, shift, stretch),
+        ),
+    }
+    for label, (got, want) in results.items():
+        _assert_canonical(got)
+        assert frac_coeffs(got) == want, label
+    e = f.gauss_norm()
+    assert (None if e.is_neg_inf() else e.exp) == frac_gauss_exp(fa, p)
+    unit = bool(fa) and fa[0] != 0 and all(
+        c == 0 or frac_valuation(c, p) > frac_valuation(fa[0], p) for c in fa[1:]
+    )
+    assert f.is_unit_on_disc() == unit
+
+
+def test_equal_polynomials_compare_and_hash_equal():
+    for p in (2, 3, 5, 7):
+        f, g = TatePoly([Fraction(2, 4)], p), TatePoly([Fraction(1, 2)], p)
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        x = TatePoly.variable(p)
+        h = (x + Fraction(1, 3)) + (x + Fraction(1, 6))
+        k = TatePoly([PAdicScalar(Fraction(3, 6), p), Fraction(4, 2)], p)
+        assert h == k and hash(h) == hash(k)
+        z = TatePoly([0, Fraction(0, 5)], p)
+        assert z == TatePoly.zero(p) == x - x and hash(z) == hash(x - x)
+
+
+def test_constructor_and_arithmetic_checks():
+    with pytest.raises(ValueError):
+        TatePoly([1], 4)
+    with pytest.raises(ValueError):
+        TatePoly([PAdicScalar(1, 3)], 2)
+    f = TatePoly([1, 2], 2)
+    with pytest.raises(ValueError):
+        f + TatePoly([1], 3)
+    with pytest.raises(ValueError):
+        f.scale(PAdicScalar(1, 3))
+    with pytest.raises(ValueError):
+        f + TatePoly.variable(2, "t")
