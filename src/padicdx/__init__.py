@@ -39,6 +39,7 @@ from .errors import (
     NotAUnit,
     NotInvertibleHere,
     ParseError,
+    PrecisionNotReached,
     TruncatedOperand,
     ZeroInput,
     ZeroOperator,
@@ -98,6 +99,7 @@ __all__ = [
     "NotInvertibleHere",
     "PAdicScalar",
     "ParseError",
+    "PrecisionNotReached",
     "ResidueElem",
     "ResiduePoly",
     "SupportReport",

@@ -11,6 +11,7 @@ document schema ships with the package as ``cli_schema.json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -85,7 +86,10 @@ def parse_blowup_spec(text: str, prime: int) -> BlowupModel:
         center = PAdicScalar.uniformizer_power(prime, exp)
     else:
         center = PAdicScalar(Fraction(c_text), prime)
-    return BlowupModel(center, int(match.group("m")))
+    m = int(match.group("m"))
+    if m < 1:
+        raise ConfigError(f"blow-up level must be at least 1, got m={m}")
+    return BlowupModel(center, m)
 
 
 class _Cli(argparse.ArgumentParser):
@@ -196,6 +200,8 @@ def _parse_matrix(text: str, cfg: SessionConfig) -> ConnectionMatrix:
                 )
             row.append(op.coefficient(0))
         rows.append(row)
+    if any(len(row) != len(rows) for row in rows):
+        raise ConfigError(f"connection matrix must be square, got {text!r}")
     return ConnectionMatrix(rows, cfg.prime)
 
 
@@ -334,10 +340,14 @@ def _run(args) -> dict:
     raise ConfigError(f"unknown subcommand {cmd!r}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # once per process, on first use
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         doc = _run(args)
     except (ParseError, NegativePowerOutsideMicroMode, MixedVariables, ConfigError) as e:
         doc = {"error": {"type": type(e).__name__, "message": str(e)}}

@@ -50,7 +50,11 @@ class NegativePowerOutsideMicroMode(KernelError):
     """A negative power of the derivation outside a Laurent context."""
 
 
-class MixedVariables(KernelError):
+class PrecisionNotReached(KernelError):
+    """A certified inversion that missed its target on every attempt."""
+
+
+class MixedVariables(KernelError, ValueError):
     """An expression mixing distinct coordinate symbols."""
 
 

@@ -5,9 +5,10 @@ integer powers of the derivation, negative powers included.  Products are
 exact: moving a power of the derivation across a polynomial coefficient
 uses the generalized Leibniz expansion, whose generalized binomial
 coefficients are integers for every integer exponent and whose series
-terminates at the degree of the polynomial.  The only truncated
-computation in the module is inversion, which returns an exactly
-recomputed residual norm.
+terminates at the degree of the polynomial; it is the integer kernel
+:func:`padicdx.weyl.leibniz_product`, shared with finite operators.  The
+only truncated computation in the module is inversion, which returns an
+exactly recomputed residual norm or raises ``PrecisionNotReached``.
 
 The level pair (k, r) with k >= r >= 1 is a view, not part of the stored
 data: the (k, r) norm weights the n-th coefficient exponent by k*n for
@@ -16,29 +17,23 @@ n >= 0 and by r*n for n < 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     BadLevels,
     NotInvertibleHere,
+    PrecisionNotReached,
     TruncatedOperand,
     ZeroOperator,
 )
 from .residue import ResiduePoly
 from .scalars import NEG_INF, NormExp, PAdicScalar
 from .tatepoly import TatePoly, _as_exp
-from .weyl import DiffOp, _coerce_poly, _format_operator
+from .weyl import DiffOp, _coerce_poly, _format_operator, leibniz_product
 
-
-def _gbinom(m: int, j: int) -> int:
-    """Generalized binomial coefficient for integer upper argument."""
-    if j == 0:
-        return 1
-    if m >= 0:
-        return math.comb(m, j) if j <= m else 0
-    return (-1) ** j * math.comb(-m + j - 1, j)
+# each retry doubles the series length and the working precisions
+INVERT_ATTEMPTS = 4
 
 
 def _check_levels(k: int, r: int):
@@ -105,14 +100,7 @@ class MicroOp:
     def coefficient(self, n: int) -> TatePoly:
         return self.coeffs.get(n, TatePoly.zero(self.p, self.var))
 
-    def _merge_var(self, other: "MicroOp") -> str:
-        mine = self.var if any(not c.is_constant() for c in self.coeffs.values()) else None
-        theirs = (
-            other.var if any(not c.is_constant() for c in other.coeffs.values()) else None
-        )
-        if mine and theirs and mine != theirs:
-            raise ValueError(f"mixed variables {mine!r} and {theirs!r}")
-        return mine or theirs or self.var
+    _merge_var = DiffOp._merge_var
 
     # norms and canonical form
 
@@ -196,25 +184,7 @@ class MicroOp:
         if o is None:
             return NotImplemented
         var = self._merge_var(o)
-        out: dict[int, TatePoly] = {}
-        for m, bm in self.coeffs.items():
-            for n, cn in o.coeffs.items():
-                # d^m (c d^n) = sum_j C(m, j) c^(j) d^(m+n-j); for m < 0
-                # this is the alternating inverse-derivation expansion,
-                # finite because the coefficient is a polynomial
-                der = cn
-                j = 0
-                while not der.is_zero():
-                    coef = _gbinom(m, j)
-                    if coef:
-                        term = (bm * der).scale(coef)
-                        key = m + n - j
-                        out[key] = out.get(key, TatePoly.zero(self.p, var)) + term
-                    if m >= 0 and j == m:
-                        break
-                    der = der.derivative()
-                    j += 1
-        return MicroOp(out, self.p, var)
+        return MicroOp(leibniz_product(self.coeffs, o.coeffs, self.p, var), self.p, var)
 
     def __rmul__(self, other):
         o = self._check(other)
@@ -435,7 +405,7 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     )
 
     dpow = MicroOp.d_power(-q, p, var, PAdicScalar.uniformizer_power(p, -k * q))
-    for _ in range(64):
+    for _ in range(INVERT_ATTEMPTS):
         if lead_inverse_exact:
             inv_lead = TatePoly.constant(1 / aq.constant_term(), p, var)
         else:
@@ -462,7 +432,9 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
         terms = 2 * terms + 1
         delta = 2 * delta - 1
         cutoff = 2 * cutoff - 1
-    raise RuntimeError("certified inversion did not reach the target precision")
+    raise PrecisionNotReached(
+        f"no inverse within p^{eps_exp} after {INVERT_ATTEMPTS} attempts"
+    )
 
 
 def finite_order_verdict(P: DiffOp, r: int):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import ZeroInput
+from .errors import MixedVariables, ZeroInput
 from .scalars import is_prime
 
 _EDF_SEED = 0x5EED
@@ -146,7 +146,7 @@ class ResiduePoly:
         if other.is_constant():
             return self.var
         if self.var != other.var:
-            raise ValueError(f"mixed variables {self.var!r} and {other.var!r}")
+            raise MixedVariables(f"mixed variables {self.var!r} and {other.var!r}")
         return self.var
 
     def _check(self, other):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .errors import NormTooLarge, NotAUnit, ZeroInput
+from .errors import MixedVariables, NormTooLarge, NotAUnit, ZeroInput
 from .residue import ResiduePoly
 from .scalars import NEG_INF, NormExp, PAdicScalar, is_prime
 from .scalars import _fraction_valuation as _val
@@ -131,7 +131,7 @@ class TatePoly:
         if other.is_constant():
             return self.var
         if self.var != other.var:
-            raise ValueError(f"mixed variables {self.var!r} and {other.var!r}")
+            raise MixedVariables(f"mixed variables {self.var!r} and {other.var!r}")
         return self.var
 
     def _check(self, other):

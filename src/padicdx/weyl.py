@@ -6,7 +6,8 @@ n-th coefficient by k*n on the exponent scale, which is the same as
 measuring coefficients in the basis scaled by the k-th uniformizer power;
 one store serves every level.  Multiplication moves coefficients across
 powers of the derivation with the Leibniz rule and is exactly norm
-multiplicative at every level.
+multiplicative at every level.  One integer kernel, :func:`leibniz_product`,
+runs the rule for these operators and for the Laurent ones of ``micro``.
 
 A truncation tag distinguishes operators whose stored window is the whole
 operator from truncations of an infinite one; no arithmetic is defined on
@@ -16,10 +17,11 @@ truncated operators, and downstream analyses refuse them.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
-from .errors import TruncatedOperand, ZeroOperator
+from .errors import MixedVariables, TruncatedOperand, ZeroOperator
 from .scalars import NEG_INF, NormExp, PAdicScalar
-from .tatepoly import TatePoly
+from .tatepoly import TatePoly, _canon
 
 
 def _coerce_poly(value, p: int, var: str) -> TatePoly:
@@ -30,6 +32,51 @@ def _coerce_poly(value, p: int, var: str) -> TatePoly:
     if isinstance(value, (list, tuple)):
         return TatePoly(value, p, var)
     return TatePoly.constant(value, p, var)
+
+
+def _gbinom(m: int, j: int) -> int:
+    """Generalized binomial coefficient for integer upper argument."""
+    if j == 0:
+        return 1
+    if m >= 0:
+        return math.comb(m, j) if j <= m else 0
+    return (-1) ** j * math.comb(-m + j - 1, j)
+
+
+def leibniz_product(left: dict, right: dict, p: int, var: str) -> dict:
+    """The {power: TatePoly} map of (sum b_m d^m) * (sum c_n d^n), by
+    d^m c = sum_j C(m, j) c^(j) d^(m-j): up to j = m for m >= 0, else up to
+    the degree of c.  Each side goes over the lcm of its denominators; per
+    b_m the scaled derivatives are summed for each output power on integer
+    lists, then multiplied by b_m once."""
+    lden = math.lcm(*(b.den for b in left.values()))
+    rden = math.lcm(*(c.den for c in right.values()))
+    out: dict[int, list] = {}
+    for m, b in left.items():
+        bm = [a * (lden // b.den) for a in b.num]
+        sums: dict[int, list] = {}
+        for n, c in right.items():
+            der = [a * (rden // c.den) for a in c.num]
+            j = 0
+            while der:
+                coef = _gbinom(m, j)
+                if coef:
+                    key = m + n - j
+                    acc = sums.get(key, ())
+                    sums[key] = [x + coef * y for x, y in zip_longest(acc, der, fillvalue=0)]
+                if j == m:  # only for m >= 0, as j >= 0
+                    break
+                der = [i * a for i, a in enumerate(der[1:], 1)]
+                j += 1
+        for key, s in sums.items():
+            row = out.setdefault(key, [])
+            row.extend([0] * (len(bm) + len(s) - 1 - len(row)))
+            for i, x in enumerate(bm):
+                if x:
+                    for k, y in enumerate(s, i):
+                        row[k] += x * y
+    den = lden * rden
+    return {key: _canon(out.pop(key), den, p, var) for key in list(out)}
 
 
 class DiffOp:
@@ -144,7 +191,7 @@ class DiffOp:
             other.var if any(not c.is_constant() for c in other.coeffs.values()) else None
         )
         if mine and theirs and mine != theirs:
-            raise ValueError(f"mixed variables {mine!r} and {theirs!r}")
+            raise MixedVariables(f"mixed variables {mine!r} and {theirs!r}")
         return mine or theirs or self.var
 
     def __add__(self, other):
@@ -185,19 +232,7 @@ class DiffOp:
         self._require_finite()
         o._require_finite()
         var = self._merge_var(o)
-        out: dict[int, TatePoly] = {}
-        for m, bm in self.coeffs.items():
-            for n, cn in o.coeffs.items():
-                # d^m (c d^n) = sum_j C(m, j) c^(j) d^(m+n-j)
-                der = cn
-                for j in range(m + 1):
-                    if der.is_zero():
-                        break
-                    term = (bm * der).scale(math.comb(m, j))
-                    key = m + n - j
-                    out[key] = out.get(key, TatePoly.zero(self.p, var)) + term
-                    der = der.derivative()
-        return DiffOp(out, self.p, var)
+        return DiffOp(leibniz_product(self.coeffs, o.coeffs, self.p, var), self.p, var)
 
     def __rmul__(self, other):
         o = self._check(other)

@@ -1,14 +1,15 @@
 """Shared corpus builders and brute-force oracles for the test suite.
 
 Oracles here deliberately avoid the code paths they check: operator
-products are validated through the action on functions, factorizations
-through exhaustive trial division over the residue field, and the
-integer-vector polynomial core through the plain Fraction arithmetic
-below.
+products are validated through the action on functions and against the
+per-term Leibniz product below, factorizations through exhaustive trial
+division over the residue field, and the integer-vector polynomial core
+through the plain Fraction arithmetic below.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product as iproduct, zip_longest
 
@@ -175,3 +176,35 @@ def frac_compose_linear(a, shift, stretch) -> list:
     for c in reversed(a):
         acc = frac_add(frac_mul(acc, [shift, stretch]), [c])
     return acc
+
+
+# per-term Leibniz oracle for operator products: one TatePoly per term
+
+
+def falling_binom(m: int, j: int) -> int:
+    """m (m-1) ... (m-j+1) / j!, the binomial for any integer m."""
+    num = 1
+    for i in range(j):
+        num *= m - i
+    return num // math.factorial(j)
+
+
+def leibniz_oracle(left: dict, right: dict, p: int, var: str) -> dict:
+    """The coefficient map of (sum b_m d^m) * (sum c_n d^n), term by term:
+    d^m c = sum_j C(m, j) c^(j) d^(m-j), stopping at j = m for m >= 0 and
+    when the derivative vanishes otherwise."""
+    out: dict = {}
+    for m, bm in left.items():
+        for n, cn in right.items():
+            der, j = cn, 0
+            while not der.is_zero():
+                coef = falling_binom(m, j)
+                if coef:
+                    key = m + n - j
+                    term = (bm * der).scale(coef)
+                    out[key] = out.get(key, TatePoly.zero(p, var)) + term
+                if m >= 0 and j == m:
+                    break
+                der = der.derivative()
+                j += 1
+    return {n: c for n, c in out.items() if not c.is_zero()}

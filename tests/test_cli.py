@@ -244,3 +244,63 @@ def test_missing_blowup_flag(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert doc["error"]["type"] == "ConfigError"
+
+
+def test_parser_built_once_and_reused(capsys, monkeypatch):
+    import padicdx.cli as cli
+
+    assert cli.build_parser() is not cli.build_parser()
+    built, original = [], cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    sequence = [
+        ["norm", "-p", "2", "-k", "1", "p*d^2 + d"],
+        ["commutator", "-p", "3", "x*d^2", "x^2*d"],
+        ["order", "-p", "3", "--bogus", "d"],
+        ["micro-check", "-p", "2", "-k", "2", "-r", "1", "d + d^-1"],
+        ["connection-level", "-p", "2", "x, 1; 0, p*x"],
+    ]
+    passes = []
+    for _ in range(2):
+        docs = []
+        for argv in sequence:
+            code = main(argv)
+            docs.append((code, capsys.readouterr().out))
+        passes.append(docs)
+    cli._parser.cache_clear()
+    assert passes[0] == passes[1]
+    assert passes[0][2][0] == 1 and '"ConfigError"' in passes[0][2][1]
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["commutator", "-p", "2", "x", "t*d"], "MixedVariables"),
+        (["connection-level", "-p", "2", "x, 1; 0"], "ConfigError"),
+        (["blowup-support", "-p", "2", "--blowup", "c=0,m=0", "x*d"], "ConfigError"),
+    ],
+)
+def test_kernel_value_errors_give_documents(capsys, argv, error):
+    code, doc = run(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == error
+
+
+def test_precision_not_reached_exit_code(capsys, monkeypatch):
+    from padicdx import TatePoly
+
+    # an inverse of the constant term only: wrong by p*x at every precision
+    monkeypatch.setattr(
+        TatePoly,
+        "invert_on_disc",
+        lambda f, eps: (TatePoly.constant(1 / f.constant_term(), f.p, f.var), None),
+    )
+    code, doc = run(capsys, "micro-invert", "-p", "2", "--eps", "-4", "1 + p*x")
+    assert code == 2
+    assert doc["error"]["type"] == "PrecisionNotReached"

@@ -1,0 +1,102 @@
+"""The shared Leibniz kernel against the per-term oracle in helpers."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padicdx import DiffOp, MicroOp, TatePoly
+from padicdx.weyl import _gbinom, leibniz_product
+from helpers import falling_binom, leibniz_oracle
+
+PRIMES = [2, 3, 5, 7]
+OTHER = [1, 2, 3, 5, 7, 11, 13]
+
+
+def _coefficient(p):
+    """Zero, or a small numerator over a denominator of other primes, times
+    p to a power in -4..4, so denominators mix p with other primes."""
+    nonzero = st.builds(
+        lambda n, d, v: Fraction(n, d) * Fraction(p) ** v,
+        st.integers(-40, 40),
+        st.sampled_from([q for q in OTHER if q != p]),
+        st.integers(-4, 4),
+    )
+    return st.one_of(st.just(Fraction(0)), nonzero)
+
+
+def _poly(data, p, label):
+    # degree 0 to 15, uniformly; an all-zero draw is a zero coefficient
+    n = data.draw(st.sampled_from(range(1, 17)), label=f"len({label})")
+    return TatePoly(data.draw(st.lists(_coefficient(p), min_size=n, max_size=n), label=label), p)
+
+
+def _coeffs(data, p, lo, hi, label):
+    a = data.draw(st.integers(lo, hi), label=f"{label}.lo")
+    b = data.draw(st.integers(a, hi), label=f"{label}.hi")
+    return {n: _poly(data, p, f"{label}[{n}]") for n in range(a, b + 1)}
+
+
+def test_gbinom_matches_falling_factorial():
+    for m in range(-6, 7):
+        for j in range(9):
+            assert _gbinom(m, j) == falling_binom(m, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_micro_product_against_oracle(p, data):
+    A = MicroOp(_coeffs(data, p, -4, 4, "A"), p)
+    B = MicroOp(_coeffs(data, p, -4, 4, "B"), p)
+    assert (A * B).coeffs == leibniz_oracle(A.coeffs, B.coeffs, p, "x")
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_diffop_product_against_oracle(p, data):
+    P = DiffOp(_coeffs(data, p, 0, 4, "P"), p)
+    Q = DiffOp(_coeffs(data, p, 0, 4, "Q"), p)
+    PQ = P * Q
+    assert PQ.coeffs == leibniz_oracle(P.coeffs, Q.coeffs, p, "x")
+    assert MicroOp.from_diffop(P) * MicroOp.from_diffop(Q) == MicroOp.from_diffop(PQ)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_cancelling_sums(p, data):
+    # (d + c) * (f + h d^-1) has d^0 coefficient f' + c*f + h, and
+    # (d + c) * (f + h d) has d^1 coefficient h' + c*h + f: each choice
+    # below cancels that output power inside one product
+    c, f = _poly(data, p, "c"), _poly(data, p, "f")
+    left = {1: TatePoly.one(p), 0: c}
+    right = {0: f, -1: -(f.derivative() + c * f)}
+    got = (MicroOp(left, p) * MicroOp(right, p)).coeffs
+    assert 0 not in got
+    assert got == leibniz_oracle(left, MicroOp(right, p).coeffs, p, "x")
+    right = {1: f, 0: -(f.derivative() + c * f)}
+    got = (DiffOp(left, p) * DiffOp(right, p)).coeffs
+    assert 1 not in got
+    assert got == leibniz_oracle(left, DiffOp(right, p).coeffs, p, "x")
+
+
+def test_kernel_on_empty_and_constant_maps():
+    p = 3
+    one = {0: TatePoly.one(p)}
+    assert leibniz_product({}, one, p, "x") == {}
+    assert leibniz_product(one, {}, p, "x") == {}
+    d_inv = {-1: TatePoly.one(p)}
+    x = {0: TatePoly.variable(p)}
+    # d^-1 x = x d^-1 - d^-2
+    assert leibniz_product(d_inv, x, p, "x") == {
+        -1: TatePoly.variable(p), -2: -TatePoly.one(p)
+    }
+
+
+@pytest.mark.parametrize("cls", [DiffOp, MicroOp])
+def test_product_keeps_the_variable(cls):
+    p = 5
+    t = TatePoly.variable(p, "t")
+    P = cls({1: TatePoly.one(p, "t")}, p, "t")
+    got = P * cls({0: t}, p, "t")
+    assert got.var == "t" and str(got) == "t*d + 1"

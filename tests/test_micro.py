@@ -297,3 +297,25 @@ def test_inverse_certification_random_units():
             assert rho < NormExp(-6)
             assert (S * T - 1).norm(k, r) == rho
             done += 1
+
+
+def test_inversion_attempts_are_bounded(monkeypatch):
+    import time
+
+    from padicdx import KernelError, PrecisionNotReached
+
+    p = 2
+    S = MicroOp.from_poly(TatePoly([1, 2], p))
+    T, rho = micro_invert(S, 2, 1, -4)
+    assert rho < NormExp(-4)
+
+    # an inverse of the constant term only: S*T - 1 keeps norm 2^-1
+    def inexact(f, eps):
+        return TatePoly.constant(1 / f.constant_term(), f.p, f.var), NEG_INF
+
+    monkeypatch.setattr(TatePoly, "invert_on_disc", inexact)
+    start = time.perf_counter()
+    with pytest.raises(PrecisionNotReached):
+        micro_invert(S, 2, 1, -4)
+    assert time.perf_counter() - start < 1.0
+    assert issubclass(PrecisionNotReached, KernelError)

@@ -266,3 +266,18 @@ def test_printing():
     p = 2
     P = x(p) * d(p, 2).scale(-1) + d(p) + 3
     assert str(P) == "-x*d^2 + d + 3"
+
+
+def test_mixed_variables_is_a_kernel_error_and_a_value_error():
+    from padicdx import KernelError, MicroOp, MixedVariables
+
+    p = 2
+    P = x(p)
+    Q = DiffOp.from_poly(TatePoly.variable(p, "t")) * d(p)
+    for a, b in ((P, Q), (MicroOp.from_diffop(P), MicroOp.from_diffop(Q))):
+        with pytest.raises(MixedVariables):
+            a * b
+        with pytest.raises(ValueError):
+            a + b
+    with pytest.raises(KernelError):
+        TatePoly.variable(p) * TatePoly.variable(p, "t")
