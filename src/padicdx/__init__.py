@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     KernelError,
     LevelTooSmall,
+    MixedPrimes,
     MixedVariables,
     NegativePowerOutsideMicroMode,
     NegativeValuation,
@@ -88,6 +89,7 @@ __all__ = [
     "KernelError",
     "LevelTooSmall",
     "MicroOp",
+    "MixedPrimes",
     "MixedVariables",
     "NEG_INF",
     "NegativePowerOutsideMicroMode",

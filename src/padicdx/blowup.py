@@ -149,6 +149,12 @@ def support_on_blowup(
         raise TruncatedOperand("support undecidable for a truncated operator")
     if P.is_zero():
         raise ZeroOperator("zero operator")
+    base_norm, _ = P.leading_coefficient().normalize()
+    return _chart_points(P, B, base_norm.reduce().factor())
+
+
+def _chart_points(P: DiffOp, B: BlowupModel, base_factors) -> list[tuple[ChartPoint, int]]:
+    """support_on_blowup, given the factors of the base reduction."""
     p = P.p
     lead = P.leading_coefficient()
     out: list[tuple[ChartPoint, int]] = []
@@ -160,11 +166,9 @@ def support_on_blowup(
         out.append((ChartPoint(Chart.U1, ClosedPoint(q, Chart.U1.value)), mult))
 
     # strict transform away from the center
-    base_norm, _ = lead.normalize()
-    base_red = base_norm.reduce()
     center_red = B.center.reduce_mod_pi().value
-    center_poly = ResiduePoly((-center_red, 1), p, base_red.var)
-    for q, mult in base_red.factor():
+    center_poly = ResiduePoly((-center_red, 1), p, lead.var)
+    for q, mult in base_factors:
         if q == center_poly:
             continue
         shifted = q.translate(center_red).with_var(U2_VAR)
@@ -192,15 +196,19 @@ def fiber_sum_check(P: DiffOp, B: BlowupModel) -> bool:
     sum to the base multiplicity, and the degree in the derivation is
     preserved by transport.
     """
+    return _fiber_report(P, B)[0]
+
+
+def _fiber_report(P: DiffOp, B: BlowupModel) -> tuple:
+    """fiber_sum_check's verdict, the base and blow-up supports and whether
+    transport keeps the degree in the derivation, factoring once per chart."""
     if P.is_zero():
         raise ZeroOperator("zero operator")
     base = infinite_support(P)
-    above = support_on_blowup(P, B)
-    p = P.p
+    above = _chart_points(P, B, [(pt.minimal_poly, mult) for pt, mult in base.points])
+    m0_preserved = pull_operator_u1(P, B, B.m).degree() == P.degree()
     center_red = B.center.reduce_mod_pi().value
-
-    base_var = P.leading_coefficient().var
-    center_poly = ResiduePoly((-center_red, 1), p, base_var)
+    center_poly = ResiduePoly((-center_red, 1), P.p, P.leading_coefficient().var)
     base_at_center = 0
     off_center: dict[ResiduePoly, int] = {}
     for pt, mult in base.points:
@@ -212,9 +220,6 @@ def fiber_sum_check(P: DiffOp, B: BlowupModel) -> bool:
     over_center = sum(
         mult * cp.point.degree for cp, mult in above if cp.chart != Chart.U2
     )
-    if over_center != base_at_center:
-        return False
-
     u2_points = {
         cp.point.minimal_poly: mult for cp, mult in above if cp.chart == Chart.U2
     }
@@ -222,8 +227,5 @@ def fiber_sum_check(P: DiffOp, B: BlowupModel) -> bool:
         q.translate(center_red).with_var(U2_VAR): mult
         for q, mult in off_center.items()
     }
-    if u2_points != expected_u2:
-        return False
-
-    transported = pull_operator_u1(P, B, B.m)
-    return transported.degree() == P.degree()
+    ok = over_center == base_at_center and u2_points == expected_u2 and m0_preserved
+    return ok, base, above, m0_preserved

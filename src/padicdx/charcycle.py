@@ -104,6 +104,14 @@ def char_cycle(P: DiffOp) -> CharCycle:
     return CharCycle(P.degree(), infinite_support(P).points)
 
 
+def _cycle_and_support(P: DiffOp) -> tuple[CharCycle, SupportReport]:
+    """``char_cycle(P)`` and ``infinite_support(P)``, factoring once."""
+    if not P.finite or P.is_zero() or P.is_disc_unit():
+        return char_cycle(P), infinite_support(P)  # char_cycle raises or factors nothing
+    report = infinite_support(P)
+    return CharCycle(P.degree(), report.points), report
+
+
 def cc_add(c1: CharCycle, c2: CharCycle) -> CharCycle:
     """Componentwise sum, merging vertical lines at equal points."""
     merged: dict[ClosedPoint, int] = {}

@@ -11,6 +11,7 @@ document schema ships with the package as ``cli_schema.json``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -20,8 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import charcycle, opparse
-from .blowup import (
+# unused here, fiber_sum_check and pull_operator_u1 stay for perfbench's span wrappers
+from .blowup import (  # noqa: F401
     BlowupModel,
+    _fiber_report,
     fiber_sum_check,
     pull_operator_u1,
     support_on_blowup,
@@ -48,6 +51,7 @@ from .scalars import NormExp, PAdicScalar, is_prime
 from .weyl import ConnectionMatrix, commutator, connection_level
 
 ENV_PRIME = "PADICDX_DEFAULT_PRIME"
+PRIME_LIMIT = 2**64  # is_prime is exact far beyond this
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ class SessionConfig:
     blowup: BlowupModel | None = None
 
     def __post_init__(self):
+        if self.prime >= PRIME_LIMIT:
+            raise ConfigError(f"the prime must be below 2^64, got {self.prime}")
         if not is_prime(self.prime):
             raise ConfigError(f"{self.prime} is not a prime")
         if not (self.k >= self.r >= 1):
@@ -143,10 +149,10 @@ def _session(args) -> SessionConfig:
             prime = int(os.environ.get(ENV_PRIME, "2"))
         except ValueError as e:
             raise ConfigError(f"{ENV_PRIME}: {e}") from None
-    blowup = None
-    if args.blowup is not None:
-        blowup = parse_blowup_spec(args.blowup, prime)
-    return SessionConfig(prime, args.level, args.micro_level, args.eps, blowup)
+    cfg = SessionConfig(prime, args.level, args.micro_level, args.eps)
+    if args.blowup is None:
+        return cfg
+    return dataclasses.replace(cfg, blowup=parse_blowup_spec(args.blowup, prime))
 
 
 def _require_blowup(cfg: SessionConfig) -> BlowupModel:
@@ -268,8 +274,7 @@ def _run(args) -> dict:
 
     if cmd == "charvar":
         P = _diff_op(args.expr[0], cfg)
-        cc = charcycle.char_cycle(P)
-        report = charcycle.infinite_support(P)
+        cc, report = charcycle._cycle_and_support(P)
         doc = {"command": cmd, "prime": cfg.prime}
         doc.update(cc.to_json())
         doc["rmin"] = report.rmin
@@ -294,10 +299,7 @@ def _run(args) -> dict:
     if cmd == "fiber-check":
         B = _require_blowup(cfg)
         P = _diff_op(args.expr[0], cfg)
-        ok = fiber_sum_check(P, B)
-        base = charcycle.infinite_support(P)
-        above = support_on_blowup(P, B)
-        transported = pull_operator_u1(P, B, max(cfg.k, B.m))
+        ok, base, above, m0_preserved = _fiber_report(P, B)
         return {
             "command": cmd,
             "prime": cfg.prime,
@@ -305,9 +307,7 @@ def _run(args) -> dict:
             "ok": ok,
             "base": [[pt.label(), mult] for pt, mult in base.points],
             "blowup_points": [[cp.point.label(), mult] for cp, mult in above],
-            "m0_preserved": transported.degree() == P.degree()
-            if not P.is_zero()
-            else True,
+            "m0_preserved": m0_preserved,
         }
 
     if cmd == "connection-level":

@@ -58,6 +58,10 @@ class MixedVariables(KernelError, ValueError):
     """An expression mixing distinct coordinate symbols."""
 
 
+class MixedPrimes(KernelError, ValueError):
+    """Arithmetic combining values over different primes."""
+
+
 class ParseError(KernelError):
     """Syntax error in the operator expression language.
 

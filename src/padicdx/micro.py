@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import (
     BadLevels,
+    MixedPrimes,
     NotInvertibleHere,
     PrecisionNotReached,
     TruncatedOperand,
@@ -142,12 +143,12 @@ class MicroOp:
     def _check(self, other):
         if isinstance(other, MicroOp):
             if other.p != self.p:
-                raise ValueError("mixed primes")
+                raise MixedPrimes("mixed primes")
             return other
         if isinstance(other, DiffOp):
-            return MicroOp.from_diffop(other)
+            return self._check(MicroOp.from_diffop(other))
         if isinstance(other, TatePoly):
-            return MicroOp.from_poly(other)
+            return self._check(MicroOp.from_poly(other))
         if isinstance(other, (int, PAdicScalar)):
             return MicroOp({0: _coerce_poly(other, self.p, self.var)}, self.p, self.var)
         return None

@@ -1,20 +1,22 @@
 """Arithmetic and factorization over the residue field and its polynomials.
 
-Residue polynomials are coefficient tuples of integers in ``[0, p)``,
+Residue polynomials are coefficient sequences of integers in ``[0, p)``,
 ascending by degree, with the trailing coefficient nonzero; the empty
-tuple is the zero polynomial.  Factorization into monic irreducibles uses
-distinct-degree splitting followed by equal-degree (Cantor-Zassenhaus)
-splitting, with the characteristic-p root extraction needed when the
-derivative vanishes.  Degrees here are desk scale, so clarity wins over
-asymptotics throughout.
+sequence is the zero polynomial.  Each algorithm exists once, as a module
+function on plain lists; :class:`ResiduePoly` checks operands and wraps
+results.  Factoring follows von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 14: square-free, distinct-degree and equal-degree
+(Cantor-Zassenhaus) splitting.  Products and remainders are schoolbook,
+the fastest choice in pure Python at degrees of a few dozen.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from .errors import MixedVariables, ZeroInput
+from .errors import MixedPrimes, MixedVariables, ZeroInput
 from .scalars import is_prime
 
 _EDF_SEED = 0x5EED
@@ -35,7 +37,7 @@ class ResidueElem:
     def _check(self, other):
         if isinstance(other, ResidueElem):
             if other.p != self.p:
-                raise ValueError("mixed primes")
+                raise MixedPrimes("mixed primes")
             return other.value
         if isinstance(other, int):
             return other
@@ -84,6 +86,162 @@ class ResidueElem:
         return str(self.value)
 
 
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _sub(a, b, p: int) -> list:
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _mul(a, b, p: int) -> list:
+    # over a field the leading coefficient of a product is nonzero
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return [c % p for c in out]
+
+
+def _divmod(a, b, p: int) -> tuple[list, list]:
+    """Quotient and remainder by a nonzero b."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], list(a)
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quo = [0] * (len(a) - n)
+    for i in range(len(a) - 1 - n, -1, -1):
+        c = rem[i + n] * inv % p
+        if c:
+            quo[i] = c
+            for k, y in enumerate(b, i):  # rem[i + n] is not read again
+                rem[k] -= c * y
+    return quo, _trim([r % p for r in rem[:n]])
+
+
+def _monic(a, p: int) -> list:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd(a, b, p: int) -> list:
+    """Monic gcd; zero when both are zero."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p) if a else []
+
+
+def _pow_mod(a, exp: int, f, p: int) -> list:
+    """a^exp mod f by square and multiply."""
+    out, base = [1], _divmod(a, f, p)[1]
+    while exp:
+        if exp & 1:
+            out = _divmod(_mul(out, base, p), f, p)[1]
+        exp >>= 1
+        if exp:
+            base = _divmod(_mul(base, base, p), f, p)[1]
+    return out
+
+
+def _derivative(a, p: int) -> list:
+    return _trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _pth_root(a, p: int) -> list:
+    # a is a polynomial in x**p, and c**p = c for c in the prime field
+    return list(a[::p])
+
+
+def _translate(a, c: int, p: int) -> list:
+    """a(x + c), by Horner's rule."""
+    acc: list = []
+    for coeff in reversed(a):
+        acc = [(u + c * v) % p for u, v in zip([0] + acc, acc + [0])]
+        acc[0] = (acc[0] + coeff) % p
+    return acc
+
+
+def _is_irreducible(f, p: int) -> bool:
+    """Rabin's test: x^(p^n) = x mod f, and gcd(f, x^(p^(n/l)) - x) = 1
+    for every prime l dividing the degree n."""
+    n = len(f) - 1
+    if n <= 1:
+        return n == 1
+    f, h = _monic(f, p), [0, 1]
+    coprime_at = {n // ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)}
+    for k in range(1, n + 1):
+        h = _pow_mod(h, p, f, p)
+        if k in coprime_at and len(_gcd(f, _sub(h, [0, 1], p), p)) != 1:
+            return False
+    return h == [0, 1]
+
+
+def _factor(f, p: int) -> list[tuple[tuple, int]]:
+    """Monic irreducible factors of a monic f with multiplicities, sorted
+    by (degree, coefficients).  The factors of f / gcd(f, f') are divided
+    out of f; what is left is a p-th power, and its root counts p times."""
+    rng = random.Random(_EDF_SEED)
+    out, scale = [], 1
+    while len(f) > 1:
+        d = _derivative(f, p)
+        if not d:
+            f, scale = _pth_root(f, p), scale * p
+            continue
+        squarefree = _divmod(f, _gcd(f, d, p), p)[0]
+        for q in _factor_squarefree(squarefree, p, rng):
+            mult, (quo, rem) = 0, _divmod(f, q, p)
+            while not rem:
+                f, mult = quo, mult + 1
+                quo, rem = _divmod(f, q, p)
+            out.append((q, mult * scale))
+    return sorted(out, key=lambda qm: (len(qm[0]), qm[0]))
+
+
+def _factor_squarefree(f, p: int, rng) -> list[tuple]:
+    """Factor a monic squarefree polynomial: distinct then equal degree."""
+    h, out, d = [0, 1], [], 0  # x mod f once the loop runs: deg f >= 2
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod(h, p, f, p)
+        g = _gcd(f, _sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.extend(_equal_degree_split(g, d, p, rng))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append(tuple(f))
+    return out
+
+
+def _equal_degree_split(g, d: int, p: int, rng) -> list[tuple]:
+    """Split a product of distinct irreducibles, all of degree d."""
+    n = len(g) - 1
+    if n == d:
+        return [tuple(g)]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        if p == 2:
+            # trace map splits in characteristic two, where t + power = t - power
+            t, power = [], a
+            for _ in range(d):
+                t = _sub(t, power, p)
+                power = _divmod(_mul(power, power, p), g, p)[1]
+        else:
+            t = _sub(_pow_mod(a, (p**d - 1) // 2, g, p), [1], p)
+        s = _gcd(g, t, p)
+        if 1 < len(s) < len(g):
+            rest = _divmod(g, s, p)[0]
+            return _equal_degree_split(s, d, p, rng) + _equal_degree_split(rest, d, p, rng)
+
+
 class ResiduePoly:
     """A polynomial over the prime residue field.
 
@@ -96,10 +254,7 @@ class ResiduePoly:
     def __init__(self, coeffs, p: int, var: str = "x"):
         if not is_prime(p):
             raise ValueError(f"{p} is not a prime")
-        cs = [int(c) % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trim([int(c) % p for c in coeffs])))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "var", var)
 
@@ -154,11 +309,11 @@ class ResiduePoly:
             return ResiduePoly((other,), self.p, self.var)
         if isinstance(other, ResidueElem):
             if other.p != self.p:
-                raise ValueError("mixed primes")
+                raise MixedPrimes("mixed primes")
             return ResiduePoly((other.value,), self.p, self.var)
         if isinstance(other, ResiduePoly):
             if other.p != self.p:
-                raise ValueError("mixed primes")
+                raise MixedPrimes("mixed primes")
             return other
         return None
 
@@ -195,16 +350,7 @@ class ResiduePoly:
         o = self._check(other)
         if o is None:
             return NotImplemented
-        var = self._merge_var(o)
-        if self.is_zero() or o.is_zero():
-            return ResiduePoly.zero(self.p, var)
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return ResiduePoly(out, self.p, var)
+        return ResiduePoly(_mul(self.coeffs, o.coeffs, self.p), self.p, self._merge_var(o))
 
     __rmul__ = __mul__
 
@@ -227,16 +373,8 @@ class ResiduePoly:
         if o.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         var = self._merge_var(o)
-        rem = list(self.coeffs)
-        quo = [0] * max(0, len(rem) - len(o.coeffs) + 1)
-        inv_lead = pow(o.leading(), -1, self.p)
-        for i in range(len(rem) - len(o.coeffs), -1, -1):
-            c = rem[i + len(o.coeffs) - 1] * inv_lead % self.p
-            if c:
-                quo[i] = c
-                for j, b in enumerate(o.coeffs):
-                    rem[i + j] = (rem[i + j] - c * b) % self.p
-        return (ResiduePoly(quo, self.p, var), ResiduePoly(rem, self.p, var))
+        quo, rem = _divmod(self.coeffs, o.coeffs, self.p)
+        return ResiduePoly(quo, self.p, var), ResiduePoly(rem, self.p, var)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -250,75 +388,38 @@ class ResiduePoly:
     def monic(self) -> "ResiduePoly":
         if self.is_zero():
             raise ZeroInput("zero polynomial cannot be made monic")
-        inv = pow(self.leading(), -1, self.p)
-        return ResiduePoly([c * inv for c in self.coeffs], self.p, self.var)
+        return ResiduePoly(_monic(self.coeffs, self.p), self.p, self.var)
 
     def derivative(self) -> "ResiduePoly":
-        return ResiduePoly(
-            [i * c for i, c in enumerate(self.coeffs)][1:], self.p, self.var
-        )
+        return ResiduePoly(_derivative(self.coeffs, self.p), self.p, self.var)
 
     def translate(self, c) -> "ResiduePoly":
         """Substitute the variable plus the constant c for the variable."""
         c = c.value if isinstance(c, ResidueElem) else int(c)
-        lin = ResiduePoly((c, 1), self.p, self.var)
-        acc = ResiduePoly.zero(self.p, self.var)
-        for coeff in reversed(self.coeffs):
-            acc = acc * lin + coeff
-        return acc
+        return ResiduePoly(_translate(self.coeffs, c % self.p, self.p), self.p, self.var)
 
     def with_var(self, var: str) -> "ResiduePoly":
         return ResiduePoly(self.coeffs, self.p, var)
 
     def gcd(self, other: "ResiduePoly") -> "ResiduePoly":
-        a, b = self, self._check(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        o = self._check(other)
+        return ResiduePoly(_gcd(self.coeffs, o.coeffs, self.p), self.p, self._merge_var(o))
 
     def pow_mod(self, exp: int, modulus: "ResiduePoly") -> "ResiduePoly":
-        out = ResiduePoly.one(self.p, self.var)
-        base = self % modulus
-        while exp:
-            if exp & 1:
-                out = (out * base) % modulus
-            base = (base * base) % modulus
-            exp >>= 1
-        return out
+        r = self % modulus  # checks the prime, the variables and a zero modulus
+        return ResiduePoly(_pow_mod(r.coeffs, exp, modulus.coeffs, self.p), self.p, r.var)
 
     def pth_root(self) -> "ResiduePoly":
-        # only valid when the derivative vanishes, i.e. the polynomial is
-        # a polynomial in x**p; over the prime field the coefficient roots
-        # are the coefficients themselves
+        # only valid when the derivative vanishes
         if any(c and i % self.p for i, c in enumerate(self.coeffs)):
             raise ValueError("not a p-th power")
-        return ResiduePoly(self.coeffs[:: self.p], self.p, self.var)
+        return ResiduePoly(_pth_root(self.coeffs, self.p), self.p, self.var)
 
     # factorization
 
     def is_irreducible(self) -> bool:
         """Rabin irreducibility test."""
-        n = self.degree()
-        if n <= 0:
-            return False
-        if n == 1:
-            return True
-        f = self.monic()
-        x = ResiduePoly.variable(self.p, self.var)
-
-        def x_frobenius(m: int) -> ResiduePoly:
-            h = x % f
-            for _ in range(m):
-                h = h.pow_mod(self.p, f)
-            return h
-
-        if not ((x_frobenius(n) - x) % f).is_zero():
-            return False
-        for ell in _prime_divisors(n):
-            g = f.gcd(x_frobenius(n // ell) - x)
-            if g.degree() != 0:
-                return False
-        return True
+        return _is_irreducible(self.coeffs, self.p)
 
     def factor(self) -> list[tuple["ResiduePoly", int]]:
         """Complete factorization into monic irreducibles with multiplicity.
@@ -329,23 +430,8 @@ class ResiduePoly:
         """
         if self.is_zero():
             raise ZeroInput("cannot factor the zero polynomial")
-        f = self.monic()
-        if f.degree() == 0:
-            return []
-        rng = random.Random(_EDF_SEED)
-        distinct = _distinct_irreducible_factors(f, rng)
-        out = []
-        for q in sorted(distinct, key=lambda g: (g.degree(), g.coeffs)):
-            mult = 0
-            g = f
-            while True:
-                quo, rem = divmod(g, q)
-                if not rem.is_zero():
-                    break
-                mult += 1
-                g = quo
-            out.append((q, mult))
-        return out
+        f = _monic(self.coeffs, self.p)
+        return [(ResiduePoly(q, self.p, self.var), m) for q, m in _factor(f, self.p)]
 
     # misc
 
@@ -378,81 +464,6 @@ class ResiduePoly:
 
     def __repr__(self):
         return f"ResiduePoly({list(self.coeffs)}, p={self.p}, var={self.var!r})"
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _distinct_irreducible_factors(f: ResiduePoly, rng) -> list[ResiduePoly]:
-    """Distinct monic irreducible divisors of a monic polynomial."""
-    found: list[ResiduePoly] = []
-    while f.degree() >= 1:
-        d = f.derivative()
-        if d.is_zero():
-            f = f.pth_root()
-            continue
-        squarefree = f // f.gcd(d)
-        for q in _factor_squarefree(squarefree, rng):
-            if q not in found:
-                found.append(q)
-        for q in found:
-            while q.divides(f):
-                f = f // q
-    return found
-
-
-def _factor_squarefree(f: ResiduePoly, rng) -> list[ResiduePoly]:
-    """Factor a monic squarefree polynomial: distinct then equal degree."""
-    p, var = f.p, f.var
-    x = ResiduePoly.variable(p, var)
-    out = []
-    h = x % f
-    d = 0
-    while f.degree() >= 2 * (d + 1):
-        d += 1
-        h = h.pow_mod(p, f)
-        g = f.gcd(h - x)
-        if g.degree() > 0:
-            out.extend(_equal_degree_split(g, d, rng))
-            f = f // g
-            h = h % f
-    if f.degree() > 0:
-        out.append(f)
-    return out
-
-
-def _equal_degree_split(g: ResiduePoly, d: int, rng) -> list[ResiduePoly]:
-    """Split a product of distinct irreducibles, all of degree d."""
-    if g.degree() == d:
-        return [g]
-    p, var = g.p, g.var
-    while True:
-        a = ResiduePoly([rng.randrange(p) for _ in range(g.degree())], p, var)
-        if a.degree() < 1:
-            continue
-        if p == 2:
-            # trace map splits in characteristic two
-            t = ResiduePoly.zero(p, var)
-            power = a % g
-            for _ in range(d):
-                t = (t + power) % g
-                power = (power * power) % g
-        else:
-            t = a.pow_mod((p**d - 1) // 2, g) - 1
-        s = g.gcd(t)
-        if 0 < s.degree() < g.degree():
-            return _equal_degree_split(s, d, rng) + _equal_degree_split(g // s, d, rng)
 
 
 @dataclass(frozen=True)

@@ -15,25 +15,31 @@ import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-from .errors import NegativeValuation
+from .errors import MixedPrimes, NegativeValuation
 
 INFINITY = math.inf  # valuation of zero
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for small ground primes."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin with the first 13 primes as bases: exact below
+    3.3 * 10**24, a strong probable prime test above that."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
@@ -188,7 +194,7 @@ class PAdicScalar:
     def _coerce(self, other):
         if isinstance(other, PAdicScalar):
             if other.p != self.p:
-                raise ValueError("mixed primes")
+                raise MixedPrimes("mixed primes")
             return other.value
         if isinstance(other, (int, Fraction)):
             return Fraction(other)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .errors import MixedVariables, NormTooLarge, NotAUnit, ZeroInput
+from .errors import MixedPrimes, MixedVariables, NormTooLarge, NotAUnit, ZeroInput
 from .residue import ResiduePoly
 from .scalars import NEG_INF, NormExp, PAdicScalar, is_prime
 from .scalars import _fraction_valuation as _val
@@ -34,7 +34,7 @@ def _fraction(value, p: int) -> Fraction:
     """A coefficient or scalar as a Fraction, checked as PAdicScalar checks."""
     if isinstance(value, PAdicScalar):
         if value.p != p:
-            raise ValueError("mixed primes")
+            raise MixedPrimes("mixed primes")
         return value.value
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
@@ -139,7 +139,7 @@ class TatePoly:
             return TatePoly((other,), self.p, self.var)
         if isinstance(other, TatePoly):
             if other.p != self.p:
-                raise ValueError("mixed primes")
+                raise MixedPrimes("mixed primes")
             return other
         return None
 
@@ -217,11 +217,16 @@ class TatePoly:
         self, shift: PAdicScalar, stretch: PAdicScalar, new_var: str
     ) -> "TatePoly":
         """Substitute shift + stretch * (new variable) for the variable."""
-        lin = TatePoly((shift, stretch), self.p, new_var)
-        acc = TatePoly.zero(self.p, new_var)
-        for a in reversed(self.num):
-            acc = acc * lin + a
-        return acc.scale(Fraction(1, self.den))
+        # shift = a/q, stretch = s/q; Horner builds sum num_i (a + s y)^i q^(n-i)
+        a, s = _fraction(shift, self.p), _fraction(stretch, self.p)
+        q = lcm(a.denominator, s.denominator)
+        a, s = int(a * q), int(s * q)
+        acc, qi = [], 1
+        for c in reversed(self.num):
+            acc = [a * u + s * v for u, v in zip(acc + [0], [0] + acc)]
+            acc[0] += c * qi
+            qi *= q
+        return _canon(acc, self.den * qi // q, self.p, new_var)
 
     def drop_below(self, cutoff_exp: int) -> "TatePoly":
         """Discard coefficients of norm below the cutoff exponent."""

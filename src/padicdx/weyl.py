@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 
-from .errors import MixedVariables, TruncatedOperand, ZeroOperator
+from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
 from .scalars import NEG_INF, NormExp, PAdicScalar
 from .tatepoly import TatePoly, _canon
 
@@ -27,7 +27,7 @@ from .tatepoly import TatePoly, _canon
 def _coerce_poly(value, p: int, var: str) -> TatePoly:
     if isinstance(value, TatePoly):
         if value.p != p:
-            raise ValueError("mixed primes")
+            raise MixedPrimes("mixed primes")
         return value
     if isinstance(value, (list, tuple)):
         return TatePoly(value, p, var)
@@ -177,10 +177,10 @@ class DiffOp:
     def _check(self, other):
         if isinstance(other, DiffOp):
             if other.p != self.p:
-                raise ValueError("mixed primes")
+                raise MixedPrimes("mixed primes")
             return other
         if isinstance(other, TatePoly):
-            return DiffOp.from_poly(other)
+            return self._check(DiffOp.from_poly(other))
         if isinstance(other, (int, PAdicScalar)):
             return DiffOp({0: _coerce_poly(other, self.p, self.var)}, self.p, self.var)
         return None

@@ -3,8 +3,9 @@
 Oracles here deliberately avoid the code paths they check: operator
 products are validated through the action on functions and against the
 per-term Leibniz product below, factorizations through exhaustive trial
-division over the residue field, and the integer-vector polynomial core
-through the plain Fraction arithmetic below.
+division over the residue field, translation through the object Horner
+rule below, and the integer-vector polynomial core through the plain
+Fraction arithmetic below.
 """
 
 from __future__ import annotations
@@ -109,6 +110,16 @@ def brute_factor(g: ResiduePoly):
         if not found:
             deg += 1
     return sorted(out.items(), key=lambda qm: (qm[0].degree(), qm[0].coeffs))
+
+
+def horner_translate(f: ResiduePoly, c: int) -> ResiduePoly:
+    """f(x + c) by Horner's rule on ResiduePoly objects, as translate did
+    before it moved onto the integer-list kernel."""
+    lin = ResiduePoly((c, 1), f.p, f.var)
+    acc = ResiduePoly.zero(f.p, f.var)
+    for coeff in reversed(f.coeffs):
+        acc = acc * lin + coeff
+    return acc
 
 
 # Fraction oracle for TatePoly: coefficient lists ascending by degree,

@@ -264,3 +264,27 @@ def test_length_invariance():
         cc = char_cycle(P)
         above = support_on_blowup(P, origin_blowup(p))
         assert P.degree() + sum(m for _, m in above) == cc.length
+
+
+def test_fiber_report_matches_the_public_functions(monkeypatch):
+    from padicdx import blowup
+
+    rng = random.Random(109)
+    factor = ResiduePoly.factor
+    calls = []
+    monkeypatch.setattr(ResiduePoly, "factor", lambda f: calls.append(f) or factor(f))
+    for p in (2, 3, 5):
+        x = TatePoly.variable(p)
+        for _ in range(8):
+            lead = TatePoly.one(p)
+            for _ in range(rng.randint(1, 3)):
+                lead = lead * (x * x - w(p, rng.randint(0, 2)) * rng.choice([1, 2, 4]))
+            P = DiffOp({rng.randint(1, 2): lead, 0: rand_poly(rng, p, 2)}, p)
+            B = BlowupModel(rng.choice([PAdicScalar.zero(p), w(p)]), rng.choice([1, 2]))
+            calls.clear()
+            ok, base, above, m0_preserved = blowup._fiber_report(P, B)
+            assert len(calls) == 2
+            assert ok is fiber_sum_check(P, B)
+            assert base == infinite_support(P)
+            assert above == support_on_blowup(P, B)
+            assert m0_preserved is (pull_operator_u1(P, B, B.m).degree() == P.degree())

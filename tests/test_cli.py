@@ -1,10 +1,11 @@
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
 
-from padicdx.cli import main, parse_blowup_spec
+from padicdx.cli import SessionConfig, main, parse_blowup_spec
 from padicdx import ConfigError, PAdicScalar
 
 SCHEMA = json.loads(
@@ -304,3 +305,42 @@ def test_precision_not_reached_exit_code(capsys, monkeypatch):
     code, doc = run(capsys, "micro-invert", "-p", "2", "--eps", "-4", "1 + p*x")
     assert code == 2
     assert doc["error"]["type"] == "PrecisionNotReached"
+
+
+def test_prime_limit_is_a_config_error_before_any_work(capsys):
+    start = time.perf_counter()
+    code, doc = run(capsys, "norm", "-p", str(2**127 - 1), "x*d")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert doc["error"] == {
+        "type": "ConfigError",
+        "message": f"the prime must be below 2^64, got {2**127 - 1}",
+    }
+    code, doc = run(capsys, "fiber-check", "-p", str(2**64 + 13), "--blowup", "c=1,m=1", "d")
+    assert code == 1 and doc["error"]["type"] == "ConfigError"
+    # the largest prime below the limit is accepted
+    code, doc = run(capsys, "norm", "-p", str(2**64 - 59), "x*d")
+    assert code == 0 and doc["prime"] == 2**64 - 59
+    with pytest.raises(ConfigError):
+        SessionConfig(2**64, 2, 1, -6)
+
+
+def test_non_prime_with_blowup_is_a_config_error(capsys):
+    # the session is checked before the blow-up centre is built over the prime
+    code, doc = run(capsys, "blowup-support", "-p", "6", "--blowup", "c=0,m=1", "x*d")
+    assert code == 1
+    assert doc["error"] == {"type": "ConfigError", "message": "6 is not a prime"}
+
+
+def test_each_support_is_factored_once(capsys, monkeypatch):
+    from padicdx import ResiduePoly
+
+    factor = ResiduePoly.factor
+    calls = []
+    monkeypatch.setattr(ResiduePoly, "factor", lambda f: calls.append(f) or factor(f))
+    op = "(x^3 - 9*x)*d^2 + 3*x*d + 1"
+    run(capsys, "fiber-check", "-p", "3", "--blowup", "c=0,m=1", op)
+    assert len(calls) == 2  # on the base and on the inner chart
+    calls.clear()
+    code, doc = run(capsys, "charvar", "-p", "3", op)
+    assert code == 0 and len(calls) == 1 and doc["rmin"] >= 1

@@ -319,3 +319,15 @@ def test_inversion_attempts_are_bounded(monkeypatch):
         micro_invert(S, 2, 1, -4)
     assert time.perf_counter() - start < 1.0
     assert issubclass(PrecisionNotReached, KernelError)
+
+
+def test_mixed_primes_micro_op():
+    from padicdx import KernelError, MixedPrimes
+
+    S = MicroOp({-1: TatePoly.one(2), 1: TatePoly.variable(2)}, 2)
+    T = MicroOp({-1: TatePoly.one(3)}, 3)
+    others = (T, DiffOp.derivation(3), TatePoly.variable(3))
+    for op in [lambda o=o: S * o for o in others] + [lambda: S + T, lambda: S - 1 + T]:
+        with pytest.raises(MixedPrimes, match="mixed primes") as info:
+            op()
+        assert isinstance(info.value, KernelError) and isinstance(info.value, ValueError)

@@ -1,9 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicdx import ClosedPoint, ResiduePoly, ZeroInput, factor_reduction
-from helpers import brute_factor, brute_is_irreducible
+from padicdx import (
+    ClosedPoint,
+    KernelError,
+    MixedPrimes,
+    ResidueElem,
+    ResiduePoly,
+    ZeroInput,
+    factor_reduction,
+)
+from helpers import brute_factor, brute_is_irreducible, horner_translate
 
 
 def P(coeffs, p=2, var="x"):
@@ -89,6 +99,38 @@ def test_translate():
     g = f.translate(1)  # (x + 1)^2
     assert g == P([1, 2, 1], p=3)
     assert g.translate(-1) == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    coeffs=st.lists(st.integers(-50, 50), max_size=25),
+    c=st.integers(-30, 30),
+    var=st.sampled_from(["x", "t"]),
+)
+def test_translate_against_object_horner(p, coeffs, c, var):
+    f = ResiduePoly(coeffs, p, var)
+    g = f.translate(c)
+    assert g == horner_translate(f, c)
+    assert g.var == var and g.translate(-c) == f
+    assert f.translate(ResidueElem(c, p)) == g
+
+
+def test_mixed_primes_residue_elem():
+    with pytest.raises(MixedPrimes, match="mixed primes") as info:
+        ResidueElem(1, 2) + ResidueElem(1, 3)
+    assert isinstance(info.value, KernelError) and isinstance(info.value, ValueError)
+
+
+def test_mixed_primes_residue_poly():
+    f = P([1, 1], p=2)
+    for other in (P([1, 1], p=3), ResidueElem(1, 3)):
+        with pytest.raises(MixedPrimes):
+            f * other
+    with pytest.raises(MixedPrimes):
+        f.gcd(P([1, 1], p=5))
+    with pytest.raises(ValueError):
+        divmod(f, P([1], p=3))
 
 
 def test_closed_point_validation_and_identity():

@@ -1,12 +1,21 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdx import NEG_INF, NegativeValuation, NormExp, PAdicScalar, is_prime
+from padicdx import (
+    NEG_INF,
+    KernelError,
+    MixedPrimes,
+    NegativeValuation,
+    NormExp,
+    PAdicScalar,
+    is_prime,
+)
 
 
 def test_valuation_examples():
@@ -85,3 +94,31 @@ def test_arithmetic_round_trip():
     assert -(-q) == q
     assert q**3 == PAdicScalar(Fraction(27, 64), 5)
     assert str(q) == "3/4"
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    miller_rabin = is_prime.__wrapped__  # uncached, to keep the cache small
+    assert [n for n in range(-3, 10**5) if miller_rabin(n) != _trial_division(n)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_is_fast():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine primes
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    # 211 * 421 * 631, a Carmichael number prime to every base: its powers
+    # reach 1 through a square root of 1 other than -1
+    assert not is_prime(56052361)
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59) and is_prime(2**127 - 1)
+    assert not is_prime(2**64 + 1) and not is_prime((2**61 - 1) * (2**31 - 1))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_mixed_primes_scalar():
+    with pytest.raises(MixedPrimes, match="mixed primes") as info:
+        PAdicScalar(1, 2) + PAdicScalar(1, 3)
+    assert isinstance(info.value, KernelError) and isinstance(info.value, ValueError)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from padicdx import (
     NEG_INF,
+    KernelError,
+    MixedPrimes,
     NormExp,
     NormTooLarge,
     NotAUnit,
@@ -228,8 +230,18 @@ def test_integer_core_against_fraction_oracle(p, data):
     a, b = coeffs("a"), coeffs("b")
     s = data.draw(_coefficient(p), label="s")
     cutoff = data.draw(st.integers(-45, 45), label="cutoff")
-    small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-    shift, stretch = data.draw(small, label="shift"), data.draw(small, label="stretch")
+    # shifts and stretches: small fractions, or denominators that mix
+    # powers of p with other primes, so that lcm(denominators) is not trivial
+    linear = st.one_of(
+        st.fractions(min_value=-9, max_value=9, max_denominator=9),
+        st.builds(
+            lambda n, d, v: Fraction(n, d) * Fraction(p) ** v,
+            st.integers(-(2**24), 2**24),
+            st.integers(1, 2**16),
+            st.integers(-8, 8),
+        ),
+    )
+    shift, stretch = data.draw(linear, label="shift"), data.draw(linear, label="stretch")
     f, g = TatePoly(a, p), TatePoly(b, p)
     fa, fb = frac_trim(a), frac_trim(b)
     # the low half of f: f + (low - f) cancels down to it
@@ -284,3 +296,21 @@ def test_constructor_and_arithmetic_checks():
         f.scale(PAdicScalar(1, 3))
     with pytest.raises(ValueError):
         f + TatePoly.variable(2, "t")
+
+
+def test_mixed_primes_tate_poly():
+    f = TatePoly([1, 2], 2)
+    for op in (
+        lambda: f * TatePoly([1], 3),
+        lambda: f + TatePoly([1, 1], 5),
+        lambda: f.scale(PAdicScalar(1, 3)),
+        lambda: f.compose_linear(PAdicScalar(1, 3), PAdicScalar(1, 2), "t"),
+        lambda: TatePoly([PAdicScalar(1, 3)], 2),
+    ):
+        with pytest.raises(MixedPrimes, match="mixed primes") as info:
+            op()
+        assert isinstance(info.value, KernelError) and isinstance(info.value, ValueError)
+    # a compose_linear result keeps the new variable, also for constants
+    assert f.compose_linear(0, 0, "t") == TatePoly([1], 2)
+    assert f.compose_linear(1, 0, "t").var == "t"
+    assert TatePoly.zero(2).compose_linear(1, 1, "t").var == "t"

@@ -281,3 +281,14 @@ def test_mixed_variables_is_a_kernel_error_and_a_value_error():
             a + b
     with pytest.raises(KernelError):
         TatePoly.variable(p) * TatePoly.variable(p, "t")
+
+
+def test_mixed_primes_diff_op():
+    from padicdx import KernelError, MixedPrimes
+
+    for other in (d(3), TatePoly.variable(3)):
+        with pytest.raises(MixedPrimes, match="mixed primes") as info:
+            x(2) * other
+        assert isinstance(info.value, KernelError) and isinstance(info.value, ValueError)
+    with pytest.raises(MixedPrimes):
+        DiffOp({1: TatePoly.variable(3)}, 2)
