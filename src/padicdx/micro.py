@@ -1,18 +1,20 @@
 """Laurent operators in the derivation and their microlocal norms.
 
 A :class:`MicroOp` stores a finite window of coefficients indexed by
-integer powers of the derivation, negative powers included.  Products are
-exact: moving a power of the derivation across a polynomial coefficient
-uses the generalized Leibniz expansion, whose generalized binomial
-coefficients are integers for every integer exponent and whose series
-terminates at the degree of the polynomial; it is the integer kernel
+integer powers of the derivation, negative powers included.  It shares
+one store and one copy of the ring code with :class:`padicdx.weyl.DiffOp`,
+and mixed arithmetic embeds the finite operand.  Products are exact:
+moving a power of the derivation across a polynomial coefficient uses the
+generalized Leibniz expansion, whose generalized binomial coefficients are
+integers for every integer exponent and whose series terminates at the
+degree of the polynomial; it is the integer kernel
 :func:`padicdx.weyl.leibniz_product`, shared with finite operators.  The
 only truncated computation in the module is inversion, which returns an
 exactly recomputed residual norm or raises ``PrecisionNotReached``.
 
 The level pair (k, r) with k >= r >= 1 is a view, not part of the stored
 data: the (k, r) norm weights the n-th coefficient exponent by k*n for
-n >= 0 and by r*n for n < 0.
+n >= 0 and by r*n for n < 0 (:func:`padicdx.weyl.weight`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from fractions import Fraction
 
 from .errors import (
     BadLevels,
-    MixedPrimes,
     NotInvertibleHere,
     PrecisionNotReached,
     TruncatedOperand,
@@ -31,7 +32,7 @@ from .errors import (
 from .residue import ResiduePoly
 from .scalars import NEG_INF, NormExp, PAdicScalar
 from .tatepoly import TatePoly, _as_exp
-from .weyl import DiffOp, _coerce_poly, _format_operator, leibniz_product
+from .weyl import DiffOp, _Operator, weight
 
 # each retry doubles the series length and the working precisions
 INVERT_ATTEMPTS = 4
@@ -42,77 +43,47 @@ def _check_levels(k: int, r: int):
         raise BadLevels(f"levels must satisfy k >= r >= 1, got ({k}, {r})")
 
 
-class MicroOp:
+class MicroOp(_Operator):
     """A Laurent operator in the derivation with polynomial coefficients,
     coefficients on the left.  Immutable."""
 
-    __slots__ = ("coeffs", "p", "var")
-
-    def __init__(self, coeffs, p: int, var: str = "x"):
-        table: dict[int, TatePoly] = {}
-        for n, c in dict(coeffs).items():
-            poly = _coerce_poly(c, p, var)
-            if not poly.is_zero():
-                table[int(n)] = poly
-        object.__setattr__(self, "coeffs", table)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MicroOp is immutable")
+    __slots__ = ()
+    _NEGATIVE_POWER = "use the certified inverse for negative powers"
 
     # constructors
-
-    @classmethod
-    def zero(cls, p: int, var: str = "x") -> "MicroOp":
-        return cls({}, p, var)
-
-    @classmethod
-    def one(cls, p: int, var: str = "x") -> "MicroOp":
-        return cls({0: 1}, p, var)
 
     @classmethod
     def d_power(cls, n: int, p: int, var: str = "x", coeff=1) -> "MicroOp":
         return cls({n: coeff}, p, var)
 
     @classmethod
-    def from_poly(cls, f: TatePoly) -> "MicroOp":
-        return cls({0: f}, f.p, f.var)
-
-    @classmethod
     def from_diffop(cls, P: DiffOp) -> "MicroOp":
         if not P.finite:
             raise TruncatedOperand("cannot embed a truncated operator")
-        return cls(dict(P.coeffs), P.p, P.var)
+        return cls(P.coeffs, P.p, P.var)
+
+    # a DiffOp operand of the arithmetic is embedded, so mixed results are Laurent
+    _embed = from_diffop
 
     def to_diffop(self) -> DiffOp:
         if any(n < 0 for n in self.coeffs):
             raise ValueError("negative powers present")
-        return DiffOp(dict(self.coeffs), self.p, self.var)
+        return DiffOp(self.coeffs, self.p, self.var)
 
     # structure
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def support(self) -> list[int]:
         return sorted(self.coeffs)
-
-    def coefficient(self, n: int) -> TatePoly:
-        return self.coeffs.get(n, TatePoly.zero(self.p, self.var))
-
-    _merge_var = DiffOp._merge_var
 
     # norms and canonical form
 
     def norm(self, k: int, r: int) -> NormExp:
         """The (k, r) norm on the exponent scale."""
         _check_levels(k, r)
-        out = NEG_INF
-        for n, c in self.coeffs.items():
-            weight = k * n if n >= 0 else r * n
-            out = max(out, c.gauss_norm() + weight)
-        return out
+        return max(
+            (c.gauss_norm() + weight(n, k, r) for n, c in self.coeffs.items()),
+            default=NEG_INF,
+        )
 
     def canonical_form(self, k: int, r: int) -> list[tuple[int, TatePoly]]:
         """Coefficients in the basis scaled by level k above and level r
@@ -121,8 +92,7 @@ class MicroOp:
         _check_levels(k, r)
         out = []
         for n in sorted(self.coeffs):
-            weight = k * n if n >= 0 else r * n
-            shift = PAdicScalar.uniformizer_power(self.p, -weight)
+            shift = PAdicScalar.uniformizer_power(self.p, -weight(n, k, r))
             out.append((n, self.coeffs[n].scale(shift)))
         return out
 
@@ -133,115 +103,20 @@ class MicroOp:
         _check_levels(k, r)
         out = []
         for n in sorted(self.coeffs):
-            weight = k * n if n >= 0 else r * n
             vector = [str(Fraction(a, self.coeffs[n].den)) for a in self.coeffs[n].num]
-            out.append([n, vector, -weight])
+            out.append([n, vector, -weight(n, k, r)])
         return out
-
-    # arithmetic
-
-    def _check(self, other):
-        if isinstance(other, MicroOp):
-            if other.p != self.p:
-                raise MixedPrimes("mixed primes")
-            return other
-        if isinstance(other, DiffOp):
-            return self._check(MicroOp.from_diffop(other))
-        if isinstance(other, TatePoly):
-            return self._check(MicroOp.from_poly(other))
-        if isinstance(other, (int, PAdicScalar)):
-            return MicroOp({0: _coerce_poly(other, self.p, self.var)}, self.p, self.var)
-        return None
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        var = self._merge_var(o)
-        out = dict(self.coeffs)
-        for n, c in o.coeffs.items():
-            out[n] = out.get(n, TatePoly.zero(self.p, var)) + c
-        return MicroOp(out, self.p, var)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return MicroOp({n: -c for n, c in self.coeffs.items()}, self.p, self.var)
-
-    def __mul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        var = self._merge_var(o)
-        return MicroOp(leibniz_product(self.coeffs, o.coeffs, self.p, var), self.p, var)
-
-    def __rmul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def scale(self, scalar) -> "MicroOp":
-        return MicroOp(
-            {n: c.scale(scalar) for n, c in self.coeffs.items()}, self.p, self.var
-        )
 
     def truncate_below(self, k: int, r: int, cutoff_exp: int) -> "MicroOp":
         """Discard every monomial contributing below the cutoff to the
         (k, r) norm; the result differs from the original by an element
         of norm below the cutoff."""
         _check_levels(k, r)
-        out = {}
-        for n, c in self.coeffs.items():
-            weight = k * n if n >= 0 else r * n
-            out[n] = c.drop_below(cutoff_exp - weight)
-        return MicroOp(out, self.p, self.var)
-
-    def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError("use the certified inverse for negative powers")
-        out = MicroOp.one(self.p, self.var)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
-
-    # misc
-
-    def _eq_key(self):
-        has_var = any(not c.is_constant() for c in self.coeffs.values())
-        return (self.p, frozenset(self.coeffs.items()), self.var if has_var else "")
-
-    def __eq__(self, other):
-        if isinstance(other, (int, TatePoly, PAdicScalar, DiffOp)):
-            other = self._check(other)
-        if not isinstance(other, MicroOp):
-            return NotImplemented
-        return self._eq_key() == other._eq_key()
-
-    def __hash__(self):
-        return hash(self._eq_key())
-
-    def __str__(self):
-        return _format_operator(self.coeffs, "0")
-
-    def __repr__(self):
-        return f"MicroOp({self}, p={self.p})"
+        return MicroOp(
+            {n: c.drop_below(cutoff_exp - weight(n, k, r)) for n, c in self.coeffs.items()},
+            self.p,
+            self.var,
+        )
 
 
 # invertibility verdicts

@@ -8,6 +8,8 @@ one store serves every level.  Multiplication moves coefficients across
 powers of the derivation with the Leibniz rule and is exactly norm
 multiplicative at every level.  One integer kernel, :func:`leibniz_product`,
 runs the rule for these operators and for the Laurent ones of ``micro``.
+Both share one store and one copy of the ring code, :class:`_Operator`; a
+finite operator is the part with nonnegative powers of the derivation.
 
 A truncation tag distinguishes operators whose stored window is the whole
 operator from truncations of an infinite one; no arithmetic is defined on
@@ -79,46 +81,210 @@ def leibniz_product(left: dict, right: dict, p: int, var: str) -> dict:
     return {key: _canon(out.pop(key), den, p, var) for key in list(out)}
 
 
-class DiffOp:
-    """A finite operator written as a sum of coefficients times powers of
-    the derivation, coefficients on the left.
-    """
+def weight(n: int, k: int, r: int) -> int:
+    """Exponent weight of the n-th power of the derivation at levels (k, r):
+    k*n above zero and r*n below."""
+    return k * n if n >= 0 else r * n
 
-    __slots__ = ("coeffs", "p", "var", "finite")
 
-    def __init__(self, coeffs, p: int, var: str = "x", finite: bool = True):
+class _Operator:
+    """A sparse map from powers of the derivation to polynomial
+    coefficients, coefficients on the left, with the ring operations.
+    Immutable.  Subclasses fix which powers are allowed; an operand of the
+    other class is taken in through :meth:`_embed`."""
+
+    __slots__ = ("coeffs", "p", "var")
+    finite = True
+
+    def __init__(self, coeffs, p: int, var: str = "x"):
+        coeffs = dict(coeffs)
+        self._admit(coeffs)
         table: dict[int, TatePoly] = {}
-        for n, c in dict(coeffs).items():
-            if n < 0:
-                raise ValueError("negative powers need the Laurent ring")
+        for n, c in coeffs.items():
             poly = _coerce_poly(c, p, var)
             if not poly.is_zero():
                 table[int(n)] = poly
         object.__setattr__(self, "coeffs", table)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "finite", bool(finite))
 
     def __setattr__(self, name, value):
-        raise AttributeError("DiffOp is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _admit(self, coeffs: dict):
+        """Refuse powers outside the ring; every power is allowed here."""
+
+    def _embed(self, other: "_Operator"):
+        """An operand of the other class as one of this class, or None to
+        leave the operation to the other class."""
+        return None
+
+    def _rebuild(self, coeffs) -> "_Operator":
+        """Same class, prime, variable and tag; new coefficients."""
+        return type(self)(coeffs, self.p, self.var)
 
     # constructors
 
     @classmethod
-    def zero(cls, p: int, var: str = "x") -> "DiffOp":
+    def zero(cls, p: int, var: str = "x"):
         return cls({}, p, var)
 
     @classmethod
-    def one(cls, p: int, var: str = "x") -> "DiffOp":
+    def one(cls, p: int, var: str = "x"):
         return cls({0: 1}, p, var)
+
+    @classmethod
+    def from_poly(cls, f: TatePoly):
+        return cls({0: f}, f.p, f.var)
+
+    # structure
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient(self, n: int) -> TatePoly:
+        return self.coeffs.get(n, TatePoly.zero(self.p, self.var))
+
+    def _require_finite(self):
+        if not self.finite:
+            raise TruncatedOperand("operation undefined on a truncated operator")
+
+    # arithmetic
+
+    def _check(self, other):
+        if isinstance(other, (int, PAdicScalar)):
+            return type(self)({0: other}, self.p, self.var)
+        if isinstance(other, TatePoly):
+            other = self.from_poly(other)
+        elif isinstance(other, _Operator) and not isinstance(other, type(self)):
+            other = self._embed(other)
+        if not isinstance(other, type(self)):
+            return None
+        if other.p != self.p:
+            raise MixedPrimes("mixed primes")
+        return other
+
+    def _merge_var(self, other: "_Operator") -> str:
+        mine = self.var if any(not c.is_constant() for c in self.coeffs.values()) else None
+        theirs = (
+            other.var if any(not c.is_constant() for c in other.coeffs.values()) else None
+        )
+        if mine and theirs and mine != theirs:
+            raise MixedVariables(f"mixed variables {mine!r} and {theirs!r}")
+        return mine or theirs or self.var
+
+    def __add__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        self._require_finite()
+        o._require_finite()
+        var = self._merge_var(o)
+        out = dict(self.coeffs)
+        for n, c in o.coeffs.items():
+            out[n] = out.get(n, TatePoly.zero(self.p, var)) + c
+        return type(self)(out, self.p, var)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return self._rebuild({n: -c for n, c in self.coeffs.items()})
+
+    def __mul__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        self._require_finite()
+        o._require_finite()
+        var = self._merge_var(o)
+        return type(self)(leibniz_product(self.coeffs, o.coeffs, self.p, var), self.p, var)
+
+    def __rmul__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        return o * self
+
+    def scale(self, scalar):
+        return self._rebuild({n: c.scale(scalar) for n, c in self.coeffs.items()})
+
+    def __pow__(self, exp: int):
+        if exp < 0:
+            raise ValueError(self._NEGATIVE_POWER)
+        out = self.one(self.p, self.var)
+        base = self
+        while exp:
+            if exp & 1:
+                out = out * base
+            base = base * base
+            exp >>= 1
+        return out
+
+    # misc
+
+    def _eq_key(self):
+        has_var = any(not c.is_constant() for c in self.coeffs.values())
+        return (
+            self.p,
+            self.finite,
+            frozenset(self.coeffs.items()),
+            self.var if has_var else "",
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, (int, TatePoly, PAdicScalar)):
+            other = self._check(other)
+        if not isinstance(other, _Operator):
+            return NotImplemented
+        return self._eq_key() == other._eq_key()
+
+    def __hash__(self):
+        return hash(self._eq_key())
+
+    def __str__(self):
+        return _format_operator(self.coeffs)
+
+    def __repr__(self):
+        tag = "" if self.finite else ", truncated"
+        return f"{type(self).__name__}({self}{tag}, p={self.p})"
+
+
+class DiffOp(_Operator):
+    """A finite operator written as a sum of coefficients times powers of
+    the derivation, coefficients on the left.
+    """
+
+    __slots__ = ("finite",)
+    _NEGATIVE_POWER = "negative power of a finite operator"
+
+    def __init__(self, coeffs, p: int, var: str = "x", finite: bool = True):
+        super().__init__(coeffs, p, var)
+        object.__setattr__(self, "finite", bool(finite))
+
+    def _admit(self, coeffs: dict):
+        if any(n < 0 for n in coeffs):
+            raise ValueError("negative powers need the Laurent ring")
+
+    def _rebuild(self, coeffs) -> "DiffOp":
+        return DiffOp(coeffs, self.p, self.var, self.finite)
+
+    # constructors
 
     @classmethod
     def derivation(cls, p: int, var: str = "x", n: int = 1) -> "DiffOp":
         return cls({n: 1}, p, var)
-
-    @classmethod
-    def from_poly(cls, f: TatePoly) -> "DiffOp":
-        return cls({0: f}, f.p, f.var)
 
     @classmethod
     def truncated(cls, coeffs, p: int, var: str = "x") -> "DiffOp":
@@ -127,9 +293,6 @@ class DiffOp:
 
     # structure
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         """Degree in the derivation; requires a finite nonzero operator."""
         self._require_finite()
@@ -137,15 +300,8 @@ class DiffOp:
             raise ZeroOperator("zero operator has no degree")
         return max(self.coeffs)
 
-    def coefficient(self, n: int) -> TatePoly:
-        return self.coeffs.get(n, TatePoly.zero(self.p, self.var))
-
     def leading_coefficient(self) -> TatePoly:
         return self.coefficient(self.degree())
-
-    def _require_finite(self):
-        if not self.finite:
-            raise TruncatedOperand("operation undefined on a truncated operator")
 
     def is_disc_unit(self) -> bool:
         """Whether the operator is invertible: order zero with a
@@ -172,94 +328,6 @@ class DiffOp:
         target = self.norm(k)
         return max(n for n, c in self.coeffs.items() if c.gauss_norm() + k * n == target)
 
-    # arithmetic
-
-    def _check(self, other):
-        if isinstance(other, DiffOp):
-            if other.p != self.p:
-                raise MixedPrimes("mixed primes")
-            return other
-        if isinstance(other, TatePoly):
-            return self._check(DiffOp.from_poly(other))
-        if isinstance(other, (int, PAdicScalar)):
-            return DiffOp({0: _coerce_poly(other, self.p, self.var)}, self.p, self.var)
-        return None
-
-    def _merge_var(self, other: "DiffOp") -> str:
-        mine = self.var if any(not c.is_constant() for c in self.coeffs.values()) else None
-        theirs = (
-            other.var if any(not c.is_constant() for c in other.coeffs.values()) else None
-        )
-        if mine and theirs and mine != theirs:
-            raise MixedVariables(f"mixed variables {mine!r} and {theirs!r}")
-        return mine or theirs or self.var
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        self._require_finite()
-        o._require_finite()
-        var = self._merge_var(o)
-        out = dict(self.coeffs)
-        for n, c in o.coeffs.items():
-            out[n] = out.get(n, TatePoly.zero(self.p, var)) + c
-        return DiffOp(out, self.p, var)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return DiffOp(
-            {n: -c for n, c in self.coeffs.items()}, self.p, self.var, self.finite
-        )
-
-    def __mul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        self._require_finite()
-        o._require_finite()
-        var = self._merge_var(o)
-        return DiffOp(leibniz_product(self.coeffs, o.coeffs, self.p, var), self.p, var)
-
-    def __rmul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def scale(self, scalar) -> "DiffOp":
-        return DiffOp(
-            {n: c.scale(scalar) for n, c in self.coeffs.items()},
-            self.p,
-            self.var,
-            self.finite,
-        )
-
-    def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError("negative power of a finite operator")
-        out = DiffOp.one(self.p, self.var)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
-
     def apply(self, f: TatePoly) -> TatePoly:
         """Natural action on a function."""
         self._require_finite()
@@ -271,38 +339,10 @@ class DiffOp:
             out = out + c * g
         return out
 
-    # misc
 
-    def _eq_key(self):
-        has_var = any(not c.is_constant() for c in self.coeffs.values())
-        return (
-            self.p,
-            self.finite,
-            frozenset(self.coeffs.items()),
-            self.var if has_var else "",
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, (int, TatePoly, PAdicScalar)):
-            other = self._check(other)
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self._eq_key() == other._eq_key()
-
-    def __hash__(self):
-        return hash(self._eq_key())
-
-    def __str__(self):
-        return _format_operator(self.coeffs, "0")
-
-    def __repr__(self):
-        tag = "" if self.finite else ", truncated"
-        return f"DiffOp({self}{tag}, p={self.p})"
-
-
-def _format_operator(coeffs: dict[int, TatePoly], if_zero: str) -> str:
+def _format_operator(coeffs: dict[int, TatePoly]) -> str:
     if not coeffs:
-        return if_zero
+        return "0"
     out = ""
     for n in sorted(coeffs, reverse=True):
         c = coeffs[n]

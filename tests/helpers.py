@@ -160,15 +160,17 @@ def frac_derivative(a) -> list:
     return frac_trim([i * c for i, c in enumerate(a)][1:])
 
 
-def frac_valuation(c: Fraction, p: int) -> int:
-    v, num, den = 0, c.numerator, c.denominator
-    while num % p == 0:
-        num //= p
+def loop_valuation(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n, one division per factor."""
+    v = 0
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
+
+
+def frac_valuation(c: Fraction, p: int) -> int:
+    return loop_valuation(c.numerator, p) - loop_valuation(c.denominator, p)
 
 
 def frac_gauss_exp(a, p):

@@ -344,3 +344,11 @@ def test_each_support_is_factored_once(capsys, monkeypatch):
     calls.clear()
     code, doc = run(capsys, "charvar", "-p", "3", op)
     assert code == 0 and len(calls) == 1 and doc["rmin"] >= 1
+
+
+def test_huge_uniformizer_power_answers_quickly(capsys):
+    start = time.perf_counter()
+    code, doc = run(capsys, "norm", "-p", "2", "p^-99999999*d")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    assert doc["norm_exp"] == 100000001

@@ -1,0 +1,143 @@
+"""The behaviour DiffOp and MicroOp share: result types of mixed
+arithmetic, coercion of scalars and functions, prime checks, printing,
+immutability, negative powers and the truncated tag."""
+
+from fractions import Fraction
+
+import pytest
+
+from padicdx import DiffOp, MicroOp, MixedPrimes, PAdicScalar, TatePoly, TruncatedOperand
+
+p = 2
+P = DiffOp({0: TatePoly([1, 1], p), 1: 1}, p)
+M = MicroOp({-1: 1, 0: TatePoly([0, 1], p)}, p)
+T = DiffOp.truncated({0: 1, 1: 1}, p)
+
+
+@pytest.mark.parametrize(
+    "a, b, op, expected",
+    [
+        (P, M, "+", "MicroOp(d + (2*x + 1) + d^-1, p=2)"),
+        (P, M, "-", "MicroOp(d + 1 - d^-1, p=2)"),
+        (P, M, "*", "MicroOp(x*d + (x^2 + x + 2) + (x + 1)*d^-1, p=2)"),
+        (M, P, "+", "MicroOp(d + (2*x + 1) + d^-1, p=2)"),
+        (M, P, "-", "MicroOp(-d - 1 + d^-1, p=2)"),
+        (M, P, "*", "MicroOp(x*d + (x^2 + x + 1) + (x + 1)*d^-1 - d^-2, p=2)"),
+    ],
+)
+def test_mixed_arithmetic_is_laurent(a, b, op, expected):
+    out = {"+": a + b, "-": a - b, "*": a * b}[op]
+    assert type(out) is MicroOp
+    assert repr(out) == expected
+
+
+@pytest.mark.parametrize(
+    "c, expected",
+    [
+        (3, ["DiffOp(d + (x + 4), p=2)", "DiffOp(3*d + (3*x + 3), p=2)",
+             "DiffOp(3*d + (3*x + 3), p=2)", "DiffOp(d + (x - 2), p=2)",
+             "DiffOp(-d - (x - 2), p=2)",
+             "MicroOp((x + 3) + d^-1, p=2)", "MicroOp(3*x + 3*d^-1, p=2)",
+             "MicroOp(3*x + 3*d^-1, p=2)", "MicroOp((x - 3) + d^-1, p=2)",
+             "MicroOp(-(x - 3) - d^-1, p=2)"]),
+        (PAdicScalar(Fraction(1, 2), p),
+            ["DiffOp(d + (x + 3/2), p=2)", "DiffOp(1/2*d + (1/2*x + 1/2), p=2)",
+             "DiffOp(1/2*d + (1/2*x + 1/2), p=2)", "DiffOp(d + (x + 1/2), p=2)",
+             "DiffOp(-d - (x + 1/2), p=2)",
+             "MicroOp((x + 1/2) + d^-1, p=2)", "MicroOp(1/2*x + 1/2*d^-1, p=2)",
+             "MicroOp(1/2*x + 1/2*d^-1, p=2)", "MicroOp((x - 1/2) + d^-1, p=2)",
+             "MicroOp(-(x - 1/2) - d^-1, p=2)"]),
+        (TatePoly([1, 2], p),
+            ["DiffOp(d + (3*x + 2), p=2)",
+             "DiffOp((2*x + 1)*d + (2*x^2 + 3*x + 3), p=2)",
+             "DiffOp((2*x + 1)*d + (2*x^2 + 3*x + 1), p=2)", "DiffOp(d - x, p=2)",
+             "DiffOp(-d + x, p=2)",
+             "MicroOp((3*x + 1) + d^-1, p=2)",
+             "MicroOp((2*x^2 + x) + (2*x + 1)*d^-1 - 2*d^-2, p=2)",
+             "MicroOp((2*x^2 + x) + (2*x + 1)*d^-1, p=2)",
+             "MicroOp(-(x + 1) + d^-1, p=2)", "MicroOp((x + 1) - d^-1, p=2)"]),
+    ],
+)
+def test_coercion_on_both_sides(c, expected):
+    got = []
+    for X in (P, M):
+        assert repr(X + c) == repr(c + X)
+        got += [repr(X + c), repr(X * c), repr(c * X), repr(X - c), repr(c - X)]
+    assert got == expected
+    assert P + c == c + P and M - c == -(c - M)
+
+
+@pytest.mark.parametrize(
+    "thunk",
+    [
+        lambda: DiffOp.one(2) + MicroOp.one(3),
+        lambda: MicroOp.one(3) + DiffOp.one(2),
+        lambda: DiffOp.one(2) * MicroOp.one(3),
+        lambda: MicroOp.one(3) - DiffOp.one(2),
+        lambda: DiffOp.one(2) + PAdicScalar(1, 3),
+        lambda: PAdicScalar(1, 3) * MicroOp.one(2),
+        lambda: DiffOp.one(2) * TatePoly([1], 3),
+        lambda: TatePoly([1], 3) * MicroOp.one(2),
+        lambda: DiffOp.one(2) * DiffOp.one(3),
+        lambda: MicroOp.one(2) + MicroOp.one(3),
+    ],
+)
+def test_mixed_primes_both_directions(thunk):
+    with pytest.raises(MixedPrimes, match="mixed primes"):
+        thunk()
+
+
+def test_repr_strings():
+    assert repr(DiffOp.zero(2)) == "DiffOp(0, p=2)"
+    assert repr(MicroOp.zero(2)) == "MicroOp(0, p=2)"
+    assert repr(T) == "DiffOp(d + 1, truncated, p=2)"
+    assert repr(MicroOp.d_power(-2, 3, coeff=2)) == "MicroOp(2*d^-2, p=3)"
+    assert str(P) == "d + (x + 1)" and str(M) == "x + d^-1"
+
+
+def test_immutable_messages():
+    with pytest.raises(AttributeError, match="^DiffOp is immutable$"):
+        P.p = 3
+    with pytest.raises(AttributeError, match="^MicroOp is immutable$"):
+        M.coeffs = {}
+
+
+def test_negative_powers_refused():
+    with pytest.raises(ValueError, match="^negative powers need the Laurent ring$"):
+        DiffOp({-1: 1}, p)
+    with pytest.raises(ValueError, match="^negative power of a finite operator$"):
+        P ** -1
+    with pytest.raises(ValueError, match="^use the certified inverse for negative powers$"):
+        M ** -1
+    assert P ** 0 == DiffOp.one(p) and M ** 0 == MicroOp.one(p)
+    assert P ** 3 == P * P * P and M ** 3 == M * M * M
+
+
+def test_truncated_tag():
+    assert repr(-T) == "DiffOp(-d - 1, truncated, p=2)"
+    assert repr(T.scale(2)) == "DiffOp(2*d + 2, truncated, p=2)"
+    assert not (-T).finite and not T.scale(2).finite
+    for thunk in (lambda: T + 1, lambda: T * 1, lambda: 1 + T, lambda: 1 - T, lambda: T - T):
+        with pytest.raises(TruncatedOperand, match="operation undefined on a truncated operator"):
+            thunk()
+    for thunk in (lambda: M + T, lambda: T * M, lambda: MicroOp.from_diffop(T)):
+        with pytest.raises(TruncatedOperand, match="cannot embed a truncated operator"):
+            thunk()
+
+
+def test_equal_operators_hash_equal_across_classes():
+    assert DiffOp.one(2) == MicroOp.one(2)
+    assert len({DiffOp.one(2), MicroOp.one(2)}) == 1
+    table = {P: "P"}
+    assert table.get(MicroOp.from_diffop(P)) == "P"
+    assert MicroOp.from_diffop(P).to_diffop() in {P}
+
+
+def test_equality_is_total():
+    truncated_one = DiffOp.truncated({0: 1}, 2)
+    for a, b in ((MicroOp.one(2), truncated_one), (truncated_one, MicroOp.one(2))):
+        assert (a == b) is False
+        assert (a != b) is True
+    assert T != P and T == DiffOp.truncated({0: 1, 1: 1}, p)
+    assert (DiffOp.one(2) == MicroOp.one(3)) is False
+    assert (MicroOp.one(3) == DiffOp.one(2)) is False

@@ -16,6 +16,8 @@ from padicdx import (
     PAdicScalar,
     is_prime,
 )
+from padicdx.scalars import _fraction_valuation
+from helpers import loop_valuation
 
 
 def test_valuation_examples():
@@ -122,3 +124,15 @@ def test_mixed_primes_scalar():
     with pytest.raises(MixedPrimes, match="mixed primes") as info:
         PAdicScalar(1, 2) + PAdicScalar(1, 3)
     assert isinstance(info.value, KernelError) and isinstance(info.value, ValueError)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 2**61 - 1]),
+    v=st.integers(0, 200),
+    unit=st.integers(1, 10**40),
+    negative=st.booleans(),
+)
+def test_fraction_valuation_matches_the_division_loop(p, v, unit, negative):
+    n = (-1 if negative else 1) * p**v * unit
+    assert _fraction_valuation(n, p) == loop_valuation(n, p) >= v
