@@ -14,7 +14,7 @@ exactly recomputed residual norm or raises ``PrecisionNotReached``.
 
 The level pair (k, r) with k >= r >= 1 is a view, not part of the stored
 data: the (k, r) norm weights the n-th coefficient exponent by k*n for
-n >= 0 and by r*n for n < 0 (:func:`padicdx.weyl.weight`).
+n >= 0 and by r*n for n < 0 (:func:`weight`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
 from .residue import ResiduePoly
 from .scalars import NEG_INF, NormExp, PAdicScalar
 from .tatepoly import TatePoly, _as_exp
-from .weyl import DiffOp, _Operator, weight
+from .weyl import DiffOp, _Operator
 
 # each retry doubles the series length and the working precisions
 INVERT_ATTEMPTS = 4
@@ -41,6 +41,12 @@ INVERT_ATTEMPTS = 4
 def _check_levels(k: int, r: int):
     if not (k >= r >= 1):
         raise BadLevels(f"levels must satisfy k >= r >= 1, got ({k}, {r})")
+
+
+def weight(n: int, k: int, r: int) -> int:
+    """Exponent weight of the n-th power of the derivation at levels (k, r):
+    k*n above zero and r*n below."""
+    return (k if n >= 0 else r) * n
 
 
 class MicroOp(_Operator):

@@ -114,24 +114,14 @@ NormExp.NEG_INF = NEG_INF
 
 
 def _fraction_valuation(n: int, p: int) -> int:
-    """Exponent of p in the nonzero integer n.  For odd p, one division
-    per factor for the first few factors, then divide and conquer over
-    p^(2^i): a large valuation costs the size of n, not its square."""
+    """Exponent of p in the nonzero integer n: the count of trailing zero
+    bits for p = 2, one division per factor otherwise."""
     if p == 2:
         return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-        if v == 8:
-            squares = [p]
-            while n % squares[-1] == 0:
-                squares.append(squares[-1] * squares[-1])
-            for i in range(len(squares) - 2, -1, -1):
-                if n % squares[i] == 0:
-                    n //= squares[i]
-                    v += 1 << i
-            return v
     return v
 
 

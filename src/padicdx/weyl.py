@@ -81,12 +81,6 @@ def leibniz_product(left: dict, right: dict, p: int, var: str) -> dict:
     return {key: _canon(out.pop(key), den, p, var) for key in list(out)}
 
 
-def weight(n: int, k: int, r: int) -> int:
-    """Exponent weight of the n-th power of the derivation at levels (k, r):
-    k*n above zero and r*n below."""
-    return k * n if n >= 0 else r * n
-
-
 class _Operator:
     """A sparse map from powers of the derivation to polynomial
     coefficients, coefficients on the left, with the ring operations.
