@@ -8,13 +8,24 @@ moving a power of the derivation across a polynomial coefficient uses the
 generalized Leibniz expansion, whose generalized binomial coefficients are
 integers for every integer exponent and whose series terminates at the
 degree of the polynomial; it is the integer kernel
-:func:`padicdx.weyl.leibniz_product`, shared with finite operators.  The
-only truncated computation in the module is inversion, which returns an
-exactly recomputed residual norm or raises ``PrecisionNotReached``.
+:func:`padicdx.weyl.leibniz_product`, shared with finite operators.
 
 The level pair (k, r) with k >= r >= 1 is a view, not part of the stored
 data: the (k, r) norm weights the n-th coefficient exponent by k*n for
-n >= 0 and by r*n for n < 0 (:func:`weight`).
+n >= 0 and by r*n for n < 0 (:func:`padicdx.weyl.weight`).  The weight is
+subadditive and derivatives do not raise the Gauss norm, so the norm is
+submultiplicative; the truncations of inversion rest on that.
+
+The only truncated computation in the module is inversion
+(:func:`micro_invert`).  It factors S = (1 + R) s_q d^q around the
+dominant term, so the inverse of s_q multiplies the geometric series on
+the left, as a function, and walks no derivative chain.  Each product on
+the way is a short product: ``leibniz_product`` with a floor computes only
+the powers of the derivation that can reach the cutoff and returns exactly
+what :meth:`MicroOp.truncate_below` would keep of the full product.  The
+inverse itself is cut at eps - max(0, |S|), and its residual |S*T - 1| is
+recomputed from the exact, untruncated product; a miss raises
+``PrecisionNotReached`` after a fixed number of attempts.
 """
 
 from __future__ import annotations
@@ -32,21 +43,15 @@ from .errors import (
 from .residue import ResiduePoly
 from .scalars import NEG_INF, NormExp, PAdicScalar
 from .tatepoly import TatePoly, _as_exp
-from .weyl import DiffOp, _Operator
+from .weyl import DiffOp, _Operator, leibniz_product, weight
 
-# each retry doubles the series length and the working precisions
+# each retry doubles the working precision
 INVERT_ATTEMPTS = 4
 
 
 def _check_levels(k: int, r: int):
     if not (k >= r >= 1):
         raise BadLevels(f"levels must satisfy k >= r >= 1, got ({k}, {r})")
-
-
-def weight(n: int, k: int, r: int) -> int:
-    """Exponent weight of the n-th power of the derivation at levels (k, r):
-    k*n above zero and r*n below."""
-    return (k if n >= 0 else r) * n
 
 
 class MicroOp(_Operator):
@@ -234,14 +239,51 @@ def micro_unit_verdict(S: MicroOp, k: int, r: int):
     return BadLocusOnly(q, normalized.reduce())
 
 
+def _short(left: MicroOp, right: MicroOp, k: int, r: int, cutoff: int) -> MicroOp:
+    """left * right truncated below the cutoff, by the short product."""
+    p, var = left.p, left.var
+    return MicroOp(leibniz_product(left.coeffs, right.coeffs, p, var, (k, r, cutoff)), p, var)
+
+
 def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     """Certified inverse in the (k, r) Laurent ring.
 
     Returns (T, rho) with the (k, r) norm of S*T - 1 equal to rho and
-    rho < eps.  The inverse is the geometric series on the contracting
-    tail, left multiplied by the inverse power of the scaled derivation
-    and right multiplied by an inverse of the dominant coefficient; the
-    residual is recomputed exactly from the truncation before returning.
+    rho < eps.
+
+    Left placement: with s_q d^q the dominant term and tail = S - s_q d^q,
+    S = (1 + R) s_q d^q where R = tail * (d^-q s_q^-1).  With g the
+    inverse of s_q on the disc to the working precision w
+    (``invert_on_disc``; exact when s_q is a constant) in place of s_q^-1,
+
+        T = d^-q (g * sum_n (-R)^n),
+
+    so g multiplies the series on the left, as a function, and walks no
+    derivative chain; only the powers d^-q walk chains.
+
+    Floor and cutoffs: every product is a short product, cut at a cutoff
+    chosen so that what it drops moves S*T - 1 by less than w.  With
+    g s_q = 1 + e, the identity S d^-q g = 1 + e + R is exact, so
+
+        S T - 1 = -(-R)^(L+1) + (1 + R) E + (e + dR + tail dG) A
+                  - S d^-q dU - S dT
+
+    where A is the computed series and E its truncation error, and dG,
+    dR, dU, dT are what the products for d^-q g, R, U = g A and T drop.
+    The unit verdict gives |R| < 0, hence |1 + R| = 0 and |A| <= 0; the
+    (k, r) norm is submultiplicative and |tail| <= |S|.  So every term is
+    below w when R and the series are cut at w, U at
+    w - max(0, |S| + weight(-q)), and d^-q g and T at w - max(0, |S|), and
+    the series stops at the first L with (L+1)|R| < w or at a power that
+    truncates to zero.
+
+    Truncated inverse: the last cut, at eps - max(0, |S|) on the first
+    attempt, drops every monomial of T that cannot move the residual to
+    the target, which keeps T short.
+
+    Certificate: rho is recomputed from the full exact product S*T.  If
+    it misses eps, w is doubled (w -> 2w - 1) and the inverse rebuilt, up
+    to INVERT_ATTEMPTS times, before ``PrecisionNotReached``.
     """
     eps_exp = _as_exp(eps)
     verdict = micro_unit_verdict(S, k, r)
@@ -249,71 +291,35 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
         raise NotInvertibleHere(f"unit test failed: {verdict}")
     q = verdict.q
     p, var = S.p, S.var
-    alpha = _level_k_coefficients(S, k)
-    aq = alpha[q]
-
-    # tail of the dominant factorization, before dividing by the dominant
-    # coefficient: sum over nonzero offsets of alpha[m+q] (pi^k d)^m,
-    # held in the plain basis
-    tail_plain = MicroOp(
-        {
-            m: alpha[m + q].scale(PAdicScalar.uniformizer_power(p, k * m))
-            for m in (idx - q for idx in alpha)
-            if m != 0
-        },
-        p,
-        var,
-    )
-    lead_inverse_exact = aq.is_constant()
-
-    # the dominant-coefficient inverse error enters the residual undamped
-    # but unamplified (the tail norm sits strictly below the dominant
-    # coefficient), so the target precision itself suffices; the retry
-    # loop below is a backstop, not part of the bound
-    delta = eps_exp
-    terms = None
-
-    # monomials this far below the target cannot affect the residual even
-    # after the remaining multiplications, so the partial sums can be
-    # truncated; the residual is still computed from the exact product
-    norm_s = S.norm(k, r)
-    e_aq = aq.gauss_norm().exp
-    cutoff = (
-        eps_exp
-        - 1
-        - max(0, norm_s.exp if not norm_s.is_neg_inf() else 0)
-        - max(0, q * (k - r))
-        - max(0, -e_aq)
-    )
-
-    dpow = MicroOp.d_power(-q, p, var, PAdicScalar.uniformizer_power(p, -k * q))
+    lead = S.coeffs[q]
+    tail = MicroOp({n: c for n, c in S.coeffs.items() if n != q}, p, var)
+    d_inv = MicroOp.d_power(-q, p, var)
+    norm_s = S.norm(k, r).exp
+    work = eps_exp
     for _ in range(INVERT_ATTEMPTS):
-        if lead_inverse_exact:
-            inv_lead = TatePoly.constant(1 / aq.constant_term(), p, var)
+        if lead.is_constant():
+            inv_lead = TatePoly.constant(1 / lead.constant_term(), p, var)
         else:
-            inv_lead, _ = aq.invert_on_disc(delta)
-        ratio = (MicroOp.from_poly(inv_lead) * tail_plain).truncate_below(
-            k, r, cutoff
-        )
-        if terms is None:
-            # the unit verdict guarantees a contracting ratio, so the
-            # exponent is at most -1; smallest L with (L+1)*exp < eps
-            rnorm = ratio.norm(k, r)
-            terms = 0 if rnorm.is_neg_inf() else max(0, eps_exp // rnorm.exp)
-        acc = MicroOp.one(p, var)
-        power = MicroOp.one(p, var)
+            inv_lead, _ = lead.invert_on_disc(work)
+        g = MicroOp.from_poly(inv_lead)
+        outer = work - max(0, norm_s)
+        minus_r = -_short(tail, _short(d_inv, g, k, r, outer), k, r, work)
+        # R contracts, so its exponent is at most -1; the smallest L with
+        # (L+1)*exp < w bounds the series
+        rnorm = minus_r.norm(k, r)
+        terms = 0 if rnorm.is_neg_inf() else max(0, work // rnorm.exp)
+        acc = power = MicroOp.one(p, var)
         for _ in range(terms):
-            power = (power * (-ratio)).truncate_below(k, r, cutoff)
+            power = _short(power, minus_r, k, r, work)
             if power.is_zero():
                 break
             acc = acc + power
-        T = dpow * acc * MicroOp.from_poly(inv_lead)
+        inner = work - max(0, norm_s + weight(-q, k, r))
+        T = _short(d_inv, _short(g, acc, k, r, inner), k, r, outer)
         rho = (S * T - 1).norm(k, r)
         if rho < NormExp(eps_exp):
             return T, rho
-        terms = 2 * terms + 1
-        delta = 2 * delta - 1
-        cutoff = 2 * cutoff - 1
+        work = 2 * work - 1
     raise PrecisionNotReached(
         f"no inverse within p^{eps_exp} after {INVERT_ATTEMPTS} attempts"
     )

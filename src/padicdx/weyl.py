@@ -23,7 +23,7 @@ from itertools import zip_longest
 
 from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
 from .scalars import NEG_INF, NormExp, PAdicScalar
-from .tatepoly import TatePoly, _canon
+from .tatepoly import TatePoly, _canon, _keep_above
 
 
 def _coerce_poly(value, p: int, var: str) -> TatePoly:
@@ -45,39 +45,76 @@ def _gbinom(m: int, j: int) -> int:
     return (-1) ** j * math.comb(-m + j - 1, j)
 
 
-def leibniz_product(left: dict, right: dict, p: int, var: str) -> dict:
+def weight(n: int, k: int, r: int) -> int:
+    """Exponent weight of the n-th power of the derivation at levels (k, r):
+    k*n above zero and r*n below."""
+    return (k if n >= 0 else r) * n
+
+
+def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> dict:
     """The {power: TatePoly} map of (sum b_m d^m) * (sum c_n d^n), by
     d^m c = sum_j C(m, j) c^(j) d^(m-j): up to j = m for m >= 0, else up to
     the degree of c.  Each side goes over the lcm of its denominators; per
     b_m the scaled derivatives are summed for each output power on integer
-    lists, then multiplied by b_m once."""
+    lists, then multiplied by b_m once.
+
+    With ``floor=(k, r, cutoff)`` this is the short product: the result is
+    exactly ``truncate_below(k, r, cutoff)`` of the full product.  Every
+    term of the output power n has Gauss norm at most max|b_m| + max|c_n|
+    (the binomials are integers and derivatives do not raise the Gauss
+    norm), so no power whose weight(n, k, r) puts that bound below the
+    cutoff is computed: each derivative chain stops at the lowest power
+    that can reach it, and pairs wholly below it are skipped.  The powers
+    kept are computed in full, then their monomials below the cutoff are
+    dropped."""
     lden = math.lcm(*(b.den for b in left.values()))
     rden = math.lcm(*(c.den for c in right.values()))
+    # each coefficient over the common denominator, as integer numerators
+    scaled = {}
+    for n, c in right.items():
+        scaled[n] = c.num if c.den == rden else [a * (rden // c.den) for a in c.num]
+    if floor is None:
+        lowest = -math.inf
+    else:
+        if not left or not right:
+            return {}
+        k, r, cutoff = floor
+        top = max(b.gauss_norm() for b in left.values()) + max(
+            c.gauss_norm() for c in right.values()
+        )
+        # the least power n with top + weight(n, k, r) >= cutoff
+        need = cutoff - top.exp
+        lowest = -(-need // (k if need > 0 else r))
     out: dict[int, list] = {}
     for m, b in left.items():
-        bm = [a * (lden // b.den) for a in b.num]
+        bm = b.num if b.den == lden else [a * (lden // b.den) for a in b.num]
         sums: dict[int, list] = {}
-        for n, c in right.items():
-            der = [a * (rden // c.den) for a in c.num]
-            j = 0
-            while der:
+        # chain steps j: to m for m >= 0, to deg c, and while the output
+        # power m + n - j stays at or above the lowest
+        cap = m + 1 if m >= 0 else math.inf
+        reach = m + 1 - lowest
+        for n, der in scaled.items():
+            steps = len(der) if len(der) < cap else cap
+            if reach + n < steps:
+                steps = reach + n
+            for j in range(steps):
+                if j:
+                    der = [i * a for i, a in enumerate(der[1:], 1)]
                 coef = _gbinom(m, j)
-                if coef:
-                    key = m + n - j
-                    acc = sums.get(key, ())
-                    sums[key] = [x + coef * y for x, y in zip_longest(acc, der, fillvalue=0)]
-                if j == m:  # only for m >= 0, as j >= 0
-                    break
-                der = [i * a for i, a in enumerate(der[1:], 1)]
-                j += 1
+                key = m + n - j
+                acc = sums.get(key, ())
+                sums[key] = [x + coef * y for x, y in zip_longest(acc, der, fillvalue=0)]
         for key, s in sums.items():
             row = out.setdefault(key, [])
             row.extend([0] * (len(bm) + len(s) - 1 - len(row)))
             for i, x in enumerate(bm):
                 if x:
-                    for k, y in enumerate(s, i):
-                        row[k] += x * y
+                    for t, y in enumerate(s, i):
+                        row[t] += x * y
     den = lden * rden
+    if floor is not None:
+        for key, row in out.items():
+            out[key] = _keep_above(row, den, p, cutoff - weight(key, k, r))
     return {key: _canon(out.pop(key), den, p, var) for key in list(out)}
 
 

@@ -184,6 +184,33 @@ def frac_drop_below(a, p, cutoff: int) -> list:
     )
 
 
+def frac_op(coeffs: dict) -> dict:
+    """An operator's {power: TatePoly} map as {power: Fraction list}."""
+    return {n: frac_coeffs(c) for n, c in coeffs.items()}
+
+
+def frac_op_mul(A: dict, B: dict) -> dict:
+    """The product of two {power: Fraction list} maps, term by term by
+    d^m c = sum_j C(m, j) c^(j) d^(m-j), on Fraction lists only."""
+    out: dict = {}
+    for m, b in A.items():
+        for n, c in B.items():
+            der, j = c, 0
+            while der and (m < 0 or j <= m):
+                term = frac_scale(frac_mul(b, der), falling_binom(m, j))
+                out[m + n - j] = frac_add(out.get(m + n - j, []), term)
+                der, j = frac_derivative(der), j + 1
+    return {n: c for n, c in out.items() if c}
+
+
+def frac_op_norm(A: dict, p: int, k: int, r: int):
+    """The (k, r) norm exponent of a {power: Fraction list} map, None for 0."""
+    return max(
+        (frac_gauss_exp(c, p) + (k if n >= 0 else r) * n for n, c in A.items() if c),
+        default=None,
+    )
+
+
 def frac_compose_linear(a, shift, stretch) -> list:
     acc: list = []
     for c in reversed(a):

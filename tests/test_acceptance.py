@@ -34,9 +34,11 @@ from padicdx import (
     render_cc,
     support_on_blowup,
 )
+from padicdx.opparse import parse, to_micro_op
 from helpers import rand_diffop, rand_microop, rand_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+HARD_INVERT = "(72*x^2 + 80/3*x + 1588/5)*d + (32*x - 160/3) + 896/3*d^-1 - 16*d^-2"
 
 
 def w(p, e=1):
@@ -173,6 +175,18 @@ def test_acceptance_06_certified_inversion():
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"took {elapsed:.3f}s"
     _report(6, f"certified inversion of {done} units at eps = p^-6")
+
+
+def test_acceptance_06b_hard_inversion_ladder():
+    S = to_micro_op(parse(HARD_INVERT, micro=True), 2)
+    eps = -24
+    start = time.monotonic()
+    T, rho = micro_invert(S, 2, 1, eps)
+    elapsed = time.monotonic() - start
+    assert rho < NormExp(eps)
+    assert (S * T - 1).norm(2, 1) == rho
+    assert elapsed < 1.0, f"took {elapsed:.3f}s"
+    _report("6b", f"hard case inverted at eps = p^{eps} in {elapsed:.3f}s, residual {rho}")
 
 
 def test_acceptance_07_cycle_additivity():

@@ -11,6 +11,7 @@ from padicdx.weyl import _gbinom, leibniz_product
 from helpers import falling_binom, leibniz_oracle
 
 PRIMES = [2, 3, 5, 7]
+LEVELS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 OTHER = [1, 2, 3, 5, 7, 11, 13]
 
 
@@ -62,6 +63,23 @@ def test_diffop_product_against_oracle(p, data):
     assert MicroOp.from_diffop(P) * MicroOp.from_diffop(Q) == MicroOp.from_diffop(PQ)
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), levels=st.sampled_from(LEVELS), data=st.data())
+def test_short_product_against_truncated_oracle(p, levels, data):
+    k, r = levels
+    A = MicroOp(_coeffs(data, p, -4, 4, "A"), p)
+    B = MicroOp(_coeffs(data, p, -4, 4, "B"), p)
+    full = MicroOp(leibniz_oracle(A.coeffs, B.coeffs, p, "x"), p)
+    assert MicroOp(leibniz_product(A.coeffs, B.coeffs, p, "x"), p) == full
+    # cutoffs above the norm of the product, inside its range of monomial
+    # norms, and below all of them
+    top = full.norm(k, r)
+    top = 0 if top.is_neg_inf() else top.exp
+    cutoff = data.draw(st.integers(top - 40, top + 4), label="cutoff")
+    short = leibniz_product(A.coeffs, B.coeffs, p, "x", floor=(k, r, cutoff))
+    assert MicroOp(short, p) == full.truncate_below(k, r, cutoff)
+
+
 @settings(max_examples=30, deadline=None)
 @given(p=st.sampled_from(PRIMES), data=st.data())
 def test_cancelling_sums(p, data):
@@ -85,10 +103,17 @@ def test_kernel_on_empty_and_constant_maps():
     one = {0: TatePoly.one(p)}
     assert leibniz_product({}, one, p, "x") == {}
     assert leibniz_product(one, {}, p, "x") == {}
+    assert leibniz_product({}, one, p, "x", floor=(2, 1, -5)) == {}
     d_inv = {-1: TatePoly.one(p)}
     x = {0: TatePoly.variable(p)}
     # d^-1 x = x d^-1 - d^-2
     assert leibniz_product(d_inv, x, p, "x") == {
+        -1: TatePoly.variable(p), -2: -TatePoly.one(p)
+    }
+    # at levels (1, 1) the term -d^-2 has norm p^-2: a cutoff of -1 leaves
+    # the chain of x after its first step, -2 keeps it whole
+    assert leibniz_product(d_inv, x, p, "x", floor=(1, 1, -1)) == {-1: TatePoly.variable(p)}
+    assert leibniz_product(d_inv, x, p, "x", floor=(1, 1, -2)) == {
         -1: TatePoly.variable(p), -2: -TatePoly.one(p)
     }
 

@@ -299,6 +299,41 @@ def test_inverse_certification_random_units():
             done += 1
 
 
+def test_cutoffs_need_one_attempt(monkeypatch):
+    # the cutoffs of micro_invert are derived so that the first attempt
+    # always reaches the target: with one attempt allowed, every unit
+    # below still inverts.  Dominant power q from -2 to 2; each tail term
+    # at offset m sits just inside the contraction bound (valuation above
+    # k*m for m > 0, above r*m for m < 0); the whole operator is scaled
+    # so that |S| lies on both sides of 0
+    import padicdx.micro
+
+    monkeypatch.setattr(padicdx.micro, "INVERT_ATTEMPTS", 1)
+    rng = random.Random(71)
+    done = 0
+    while done < 60:
+        p = rng.choice((2, 3, 5))
+        k = rng.randint(1, 3)
+        r = rng.randint(1, k)
+        q = rng.randint(-2, 2)
+        lead = TatePoly.one(p) + rand_poly(rng, p, max_deg=3, val_range=(1, 2))
+        if not lead.is_unit_on_disc():
+            continue
+        coeffs = {q: lead.scale(w(p, k * q))}
+        for m in (-2, -1, 1, 2):
+            low = (k if m > 0 else r) * m + 1
+            val = k * q + rng.randint(low, low + 2)
+            coeffs[q + m] = rand_poly(rng, p, max_deg=3, val_range=(0, 2)).scale(w(p, val))
+        S = MicroOp(coeffs, p).scale(w(p, rng.randint(-3, 3)))
+        verdict = micro_unit_verdict(S, k, r)
+        assert isinstance(verdict, InvertibleOnDisc) and verdict.q == q
+        eps = rng.randint(-10, -1)
+        T, rho = micro_invert(S, k, r, eps)
+        assert rho < NormExp(eps)
+        assert (S * T - 1).norm(k, r) == rho
+        done += 1
+
+
 def test_inversion_attempts_are_bounded(monkeypatch):
     import time
 

@@ -29,6 +29,7 @@ from helpers import (
     frac_scale,
     frac_trim,
     frac_valuation,
+    loop_valuation,
     rand_poly,
 )
 
@@ -270,6 +271,35 @@ def test_integer_core_against_fraction_oracle(p, data):
         c == 0 or frac_valuation(c, p) > frac_valuation(fa[0], p) for c in fa[1:]
     )
     assert f.is_unit_on_disc() == unit
+
+
+def _integer_with_valuation(p, top):
+    """A nonzero integer u * p^v with v in 0..top."""
+    unit = st.integers(-(2**64), 2**64).filter(lambda u: u % p)
+    return st.builds(lambda u, v: u * p**v, unit, st.integers(0, top))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_drop_below_against_valuations(p, data):
+    # coefficients of valuation 0..60 over a denominator of valuation
+    # 0..40, and cutoffs from well below every coefficient norm to above all
+    num = data.draw(
+        st.lists(st.just(0) | _integer_with_valuation(p, 60), max_size=12), label="num"
+    )
+    den = abs(data.draw(_integer_with_valuation(p, 40), label="den"))
+    cutoff = data.draw(st.integers(-70, 50), label="cutoff")
+    f = TatePoly([Fraction(a, den) for a in num], p)
+    # the full valuation per coefficient, as drop_below computed it before
+    keep = loop_valuation(f.den, p) - cutoff
+    want = TatePoly(
+        [Fraction(a, f.den) if a and loop_valuation(a, p) <= keep else 0 for a in f.num], p
+    )
+    got = f.drop_below(cutoff)
+    assert got == want
+    assert all(type(a) is int for a in got.num) and type(got.den) is int
+    if keep < 0:
+        assert got.is_zero()
 
 
 def test_equal_polynomials_compare_and_hash_equal():
