@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .charcycle import infinite_support
+from .charcycle import _point_json, infinite_support
 from .errors import LevelTooSmall, NegativeValuation, TruncatedOperand, ZeroOperator
 from .residue import ClosedPoint, ResiduePoly
 from .scalars import NormExp, PAdicScalar
@@ -87,13 +87,7 @@ class ChartPoint:
         return (order[self.chart], *self.point.sort_key())
 
     def to_json(self, mult: int) -> dict:
-        return {
-            "chart": self.chart.value,
-            "point": list(self.point.minimal_poly.coeffs),
-            "label": self.point.label(),
-            "degree": self.point.degree,
-            "mult": mult,
-        }
+        return {"chart": self.chart.value, **_point_json(self.point, mult)}
 
 
 def pull_function_u1(f: TatePoly, B: BlowupModel) -> TatePoly:

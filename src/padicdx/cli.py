@@ -36,17 +36,8 @@ from .errors import (
     NegativePowerOutsideMicroMode,
     ParseError,
 )
-from .micro import (
-    BadLocus,
-    BadLocusOnly,
-    EverywhereInvertible,
-    FailsDecay,
-    InvertibleOnDisc,
-    NotInvertible,
-    finite_order_verdict,
-    micro_invert,
-    micro_unit_verdict,
-)
+from .micro import finite_order_verdict, micro_invert, micro_unit_verdict
+from .residue import ResiduePoly
 from .scalars import NormExp, PAdicScalar, is_prime
 from .weyl import ConnectionMatrix, commutator, connection_level
 
@@ -169,29 +160,23 @@ def _micro_op(text: str, cfg: SessionConfig):
     return opparse.to_micro_op(opparse.parse(text, micro=True), cfg.prime)
 
 
-def _micro_verdict_json(v) -> dict:
-    if isinstance(v, InvertibleOnDisc):
-        return {"verdict": v.tag, "q": v.q}
-    if isinstance(v, BadLocusOnly):
-        return {
-            "verdict": v.tag,
-            "q": v.q,
-            "bad": {"coeffs": list(v.bad.coeffs), "label": str(v.bad)},
-        }
-    assert isinstance(v, NotInvertible)
-    return {"verdict": v.tag, "reason": v.reason}
+def _verdict_json(v) -> dict:
+    """A verdict's tag, then its fields in declaration order."""
+    doc = {"verdict": v.tag}
+    for field in dataclasses.fields(v):
+        value = getattr(v, field.name)
+        if isinstance(value, ResiduePoly):
+            value = {"coeffs": list(value.coeffs), "label": str(value)}
+        doc[field.name] = value
+    return doc
 
 
-def _operator_verdict_json(v) -> dict:
-    if isinstance(v, EverywhereInvertible):
-        return {"verdict": v.tag}
-    if isinstance(v, BadLocus):
-        return {
-            "verdict": v.tag,
-            "bad": {"coeffs": list(v.bad.coeffs), "label": str(v.bad)},
-        }
-    assert isinstance(v, FailsDecay)
-    return {"verdict": v.tag, "rmin": v.rmin}
+def _write_plot(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write the plot to {path!r}: {e.strerror}") from None
 
 
 def _parse_matrix(text: str, cfg: SessionConfig) -> ConnectionMatrix:
@@ -249,7 +234,7 @@ def _run(args) -> dict:
             "r": cfg.r,
             "canonical": S.canonical_form_json(cfg.k, cfg.r),
         }
-        doc.update(_micro_verdict_json(verdict))
+        doc.update(_verdict_json(verdict))
         return doc
 
     if cmd == "micro-invert":
@@ -269,7 +254,7 @@ def _run(args) -> dict:
         P = _diff_op(args.expr[0], cfg)
         verdict = finite_order_verdict(P, cfg.r)
         doc = {"command": cmd, "prime": cfg.prime, "r": cfg.r}
-        doc.update(_operator_verdict_json(verdict))
+        doc.update(_verdict_json(verdict))
         return doc
 
     if cmd == "charvar":
@@ -280,8 +265,7 @@ def _run(args) -> dict:
         doc["rmin"] = report.rmin
         if args.plot:
             fmt = args.format if args.format != "json" else "ascii"
-            with open(args.plot, "w", encoding="utf-8") as fh:
-                fh.write(charcycle.render_cc(cc, fmt))
+            _write_plot(args.plot, charcycle.render_cc(cc, fmt))
             doc["plot_path"] = args.plot
         return doc
 
@@ -332,8 +316,7 @@ def _run(args) -> dict:
             "plot_path": None,
         }
         if args.plot:
-            with open(args.plot, "w", encoding="utf-8") as fh:
-                fh.write(rendering)
+            _write_plot(args.plot, rendering)
             doc["plot_path"] = args.plot
         return doc
 

@@ -8,16 +8,22 @@ results.  Factoring follows von zur Gathen and Gerhard, *Modern Computer
 Algebra*, ch. 14: square-free, distinct-degree and equal-degree
 (Cantor-Zassenhaus) splitting.  Products and remainders are schoolbook,
 the fastest choice in pure Python at degrees of a few dozen.
+
+The code :class:`ResiduePoly` shares with
+:class:`padicdx.tatepoly.TatePoly` lives here: the constructors and the
+variable rule in ``_DensePoly``, the printer in ``_format_poly``.
+Subtraction, powers and immutability come from ``padicdx.scalars._Ring``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import MixedPrimes, MixedVariables, ZeroInput
-from .scalars import is_prime
+from .scalars import _Ring, is_prime
 
 _EDF_SEED = 0x5EED
 
@@ -242,12 +248,64 @@ def _equal_degree_split(g, d: int, p: int, rng) -> list[tuple]:
             return _equal_degree_split(s, d, p, rng) + _equal_degree_split(rest, d, p, rng)
 
 
-class ResiduePoly:
-    """A polynomial over the prime residue field.
+def _format_poly(num, den: int, var: str) -> str:
+    """The text of the polynomial with coefficients num[i] / den, from the
+    top degree down, nonzero terms only."""
+    if not num:
+        return "0"
+    parts: list[str] = []
+    for i in range(len(num) - 1, -1, -1):
+        a = num[i]
+        if not a:
+            continue
+        sign = "-" if a < 0 else "+"
+        mag = Fraction(abs(a), den)
+        if i == 0:
+            body = str(mag)
+        else:
+            v = var if i == 1 else f"{var}^{i}"
+            body = v if mag == 1 else f"{mag}*{v}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts)
 
-    Immutable by convention.  Constants are compatible with any variable
-    symbol; binary operations otherwise require matching variables.
-    """
+
+class _DensePoly(_Ring):
+    """The code :class:`ResiduePoly` and :class:`padicdx.tatepoly.TatePoly`
+    share: the constructors and the variable rule.  Constants are
+    compatible with any variable symbol; binary operations otherwise
+    require matching variables."""
+
+    __slots__ = ()
+    _NEGATIVE_POWER = "negative power of a polynomial"
+
+    @classmethod
+    def zero(cls, p: int, var: str = "x"):
+        return cls((), p, var)
+
+    @classmethod
+    def one(cls, p: int, var: str = "x"):
+        return cls((1,), p, var)
+
+    @classmethod
+    def variable(cls, p: int, var: str = "x"):
+        return cls((0, 1), p, var)
+
+    def _merge_var(self, other) -> str:
+        if self.is_constant():
+            return other.var
+        if other.is_constant():
+            return self.var
+        if self.var != other.var:
+            raise MixedVariables(f"mixed variables {self.var!r} and {other.var!r}")
+        return self.var
+
+
+class ResiduePoly(_DensePoly):
+    """A polynomial over the prime residue field, coefficients in
+    ``[0, p)``.  Immutable."""
 
     __slots__ = ("coeffs", "p", "var")
 
@@ -257,23 +315,6 @@ class ResiduePoly:
         object.__setattr__(self, "coeffs", tuple(_trim([int(c) % p for c in coeffs])))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResiduePoly is immutable")
-
-    # constructors
-
-    @classmethod
-    def zero(cls, p: int, var: str = "x") -> "ResiduePoly":
-        return cls((), p, var)
-
-    @classmethod
-    def one(cls, p: int, var: str = "x") -> "ResiduePoly":
-        return cls((1,), p, var)
-
-    @classmethod
-    def variable(cls, p: int, var: str = "x") -> "ResiduePoly":
-        return cls((0, 1), p, var)
 
     # structure
 
@@ -294,15 +335,6 @@ class ResiduePoly:
 
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def _merge_var(self, other: "ResiduePoly") -> str:
-        if self.is_constant():
-            return other.var
-        if other.is_constant():
-            return self.var
-        if self.var != other.var:
-            raise MixedVariables(f"mixed variables {self.var!r} and {other.var!r}")
-        return self.var
 
     def _check(self, other):
         if isinstance(other, int):
@@ -331,18 +363,6 @@ class ResiduePoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return ResiduePoly([-c for c in self.coeffs], self.p, self.var)
 
@@ -353,18 +373,6 @@ class ResiduePoly:
         return ResiduePoly(_mul(self.coeffs, o.coeffs, self.p), self.p, self._merge_var(o))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError("negative power of a polynomial")
-        out = ResiduePoly.one(self.p, self.var)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
 
     def __divmod__(self, other):
         o = self._check(other)
@@ -447,20 +455,7 @@ class ResiduePoly:
         return hash(self._eq_key())
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                v = self.var if i == 1 else f"{self.var}^{i}"
-                term = v if c == 1 else f"{c}*{v}"
-            parts.append(term)
-        return " + ".join(parts)
+        return _format_poly(self.coeffs, 1, self.var)
 
     def __repr__(self):
         return f"ResiduePoly({list(self.coeffs)}, p={self.p}, var={self.var!r})"

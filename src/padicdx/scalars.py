@@ -113,6 +113,43 @@ NEG_INF = NormExp(None)
 NormExp.NEG_INF = NEG_INF
 
 
+class _Ring:
+    """The ring code the polynomial and operator classes share:
+    immutability, subtraction through negation and powers by squaring.
+    A subclass provides ``_check`` (an operand of the ring, or None),
+    ``+``, unary ``-``, ``*``, ``one(p, var)`` and the message
+    ``_NEGATIVE_POWER``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __sub__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __pow__(self, exp: int):
+        if exp < 0:
+            raise ValueError(self._NEGATIVE_POWER)
+        out = self.one(self.p, self.var)
+        base = self
+        while exp:
+            if exp & 1:
+                out = out * base
+            base = base * base
+            exp >>= 1
+        return out
+
+
 def _fraction_valuation(n: int, p: int) -> int:
     """Exponent of p in the nonzero integer n: the count of trailing zero
     bits for p = 2, one division per factor otherwise."""

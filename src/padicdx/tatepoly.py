@@ -7,7 +7,9 @@ function it represents and is multiplicative.  The module provides
 normalization to Gauss norm one, reduction to the residue field, the
 dominant-constant-term unit test on the disc, a geometric series inverse
 with an exactly certified residual, and Newton polygon data used for
-locating roots by valuation.
+locating roots by valuation.  The code shared with
+:class:`padicdx.residue.ResiduePoly` lives in ``padicdx.residue``
+(``_DensePoly``, ``_format_poly``) and ``padicdx.scalars._Ring``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .errors import MixedPrimes, MixedVariables, NormTooLarge, NotAUnit, ZeroInput
-from .residue import ResiduePoly
+from .errors import MixedPrimes, NormTooLarge, NotAUnit, ZeroInput
+from .residue import ResiduePoly, _DensePoly, _format_poly
 from .scalars import NEG_INF, NormExp, PAdicScalar, is_prime
 from .scalars import _fraction_valuation as _val
 
@@ -73,13 +75,12 @@ def _keep_above(num, den: int, p: int, cutoff_exp: int) -> list:
     return [a if a % q else 0 for a in num]
 
 
-class TatePoly:
+class TatePoly(_DensePoly):
     """A polynomial over the exact p-adic scalars with a variable symbol.
 
     The coefficient of degree i is ``num[i] / den``.  The form is
     canonical: ``den > 0``, ``gcd(den, *num) == 1`` and trailing zeros
     are trimmed, so the zero polynomial is ``num == ()``, ``den == 1``.
-    Constants are compatible with any variable symbol.
     """
 
     __slots__ = ("num", "den", "p", "var")
@@ -89,9 +90,6 @@ class TatePoly:
         den = lcm(*(f.denominator for f in fs))
         return _canon([f.numerator * (den // f.denominator) for f in fs], den, p, var)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TatePoly is immutable")
-
     # constructors
 
     @classmethod
@@ -99,16 +97,8 @@ class TatePoly:
         return _make((), 1, p, var)
 
     @classmethod
-    def one(cls, p: int, var: str = "x") -> "TatePoly":
-        return cls((1,), p, var)
-
-    @classmethod
     def constant(cls, value, p: int, var: str = "x") -> "TatePoly":
         return cls((value,), p, var)
-
-    @classmethod
-    def variable(cls, p: int, var: str = "x") -> "TatePoly":
-        return cls((0, 1), p, var)
 
     # structure
 
@@ -134,15 +124,6 @@ class TatePoly:
 
     def constant_term(self) -> PAdicScalar:
         return self.coefficient(0)
-
-    def _merge_var(self, other: "TatePoly") -> str:
-        if self.is_constant():
-            return other.var
-        if other.is_constant():
-            return self.var
-        if self.var != other.var:
-            raise MixedVariables(f"mixed variables {self.var!r} and {other.var!r}")
-        return self.var
 
     def _check(self, other):
         if isinstance(other, (int, Fraction, PAdicScalar)):
@@ -170,18 +151,6 @@ class TatePoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return _make(tuple(-a for a in self.num), self.den, self.p, self.var)
 
@@ -200,18 +169,6 @@ class TatePoly:
         return _canon(out, self.den * o.den, self.p, var)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError("negative power of a polynomial")
-        out = TatePoly.one(self.p, self.var)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
 
     def scale(self, scalar) -> "TatePoly":
         s = _fraction(scalar, self.p)
@@ -369,25 +326,7 @@ class TatePoly:
         return hash(self._eq_key())
 
     def __str__(self):
-        if not self.num:
-            return "0"
-        parts: list[str] = []
-        for i in range(len(self.num) - 1, -1, -1):
-            a = self.num[i]
-            if not a:
-                continue
-            sign = "-" if a < 0 else "+"
-            mag = Fraction(abs(a), self.den)
-            if i == 0:
-                body = str(mag)
-            else:
-                v = self.var if i == 1 else f"{self.var}^{i}"
-                body = v if mag == 1 else f"{mag}*{v}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return _format_poly(self.num, self.den, self.var)
 
     def __repr__(self):
         coeffs = [str(Fraction(a, self.den)) for a in self.num]

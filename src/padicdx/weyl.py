@@ -8,8 +8,10 @@ one store serves every level.  Multiplication moves coefficients across
 powers of the derivation with the Leibniz rule and is exactly norm
 multiplicative at every level.  One integer kernel, :func:`leibniz_product`,
 runs the rule for these operators and for the Laurent ones of ``micro``.
-Both share one store and one copy of the ring code, :class:`_Operator`; a
-finite operator is the part with nonnegative powers of the derivation.
+Both share one store and the operator code, :class:`_Operator`; a finite
+operator is the part with nonnegative powers of the derivation.
+Subtraction, powers and immutability are those of the polynomials,
+``padicdx.scalars._Ring``.
 
 A truncation tag distinguishes operators whose stored window is the whole
 operator from truncations of an infinite one; no arithmetic is defined on
@@ -22,7 +24,7 @@ import math
 from itertools import zip_longest
 
 from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
-from .scalars import NEG_INF, NormExp, PAdicScalar
+from .scalars import NEG_INF, NormExp, PAdicScalar, _Ring
 from .tatepoly import TatePoly, _canon, _keep_above
 
 
@@ -118,7 +120,7 @@ def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> di
     return {key: _canon(out.pop(key), den, p, var) for key in list(out)}
 
 
-class _Operator:
+class _Operator(_Ring):
     """A sparse map from powers of the derivation to polynomial
     coefficients, coefficients on the left, with the ring operations.
     Immutable.  Subclasses fix which powers are allowed; an operand of the
@@ -138,9 +140,6 @@ class _Operator:
         object.__setattr__(self, "coeffs", table)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _admit(self, coeffs: dict):
         """Refuse powers outside the ring; every power is allowed here."""
@@ -218,18 +217,6 @@ class _Operator:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return self._rebuild({n: -c for n, c in self.coeffs.items()})
 
@@ -250,18 +237,6 @@ class _Operator:
 
     def scale(self, scalar):
         return self._rebuild({n: c.scale(scalar) for n, c in self.coeffs.items()})
-
-    def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError(self._NEGATIVE_POWER)
-        out = self.one(self.p, self.var)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
 
     # misc
 

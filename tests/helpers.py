@@ -122,6 +122,26 @@ def horner_translate(f: ResiduePoly, c: int) -> ResiduePoly:
     return acc
 
 
+def join_residue_str(coeffs, var: str) -> str:
+    """A residue polynomial's text as its own printer wrote it before it
+    shared TatePoly's: nonzero terms from the top degree down, joined by
+    " + "."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            term = str(c)
+        else:
+            v = var if i == 1 else f"{var}^{i}"
+            term = v if c == 1 else f"{c}*{v}"
+        parts.append(term)
+    return " + ".join(parts)
+
+
 # Fraction oracle for TatePoly: coefficient lists ascending by degree,
 # trailing zeros trimmed, one Fraction per coefficient
 

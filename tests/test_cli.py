@@ -172,6 +172,16 @@ def test_render_subcommand(capsys, tmp_path):
     assert path.exists()
 
 
+@pytest.mark.parametrize("command", ["charvar", "render"])
+def test_unwritable_plot_path_is_a_config_error(capsys, tmp_path, command):
+    path = tmp_path / "missing" / "cc.txt"
+    code, doc = run(capsys, command, "-p", "2", "--plot", str(path), "x*d")
+    assert code == 1
+    assert doc["error"]["type"] == "ConfigError"
+    assert str(path) in doc["error"]["message"]
+    assert not path.parent.exists()
+
+
 def test_parse_error_exit_code(capsys):
     code = main(["norm", "-p", "2", "x + * d"])
     doc = json.loads(capsys.readouterr().out)
