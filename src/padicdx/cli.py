@@ -6,6 +6,9 @@ document on stdout.  Exit codes: 0 on success, 1 on parse or
 configuration errors, 2 on domain errors (failed preconditions,
 non-invertible inputs).  Plots go to the path given by ``--plot``; the
 document schema ships with the package as ``cli_schema.json``.
+
+A new subcommand needs one handler ``(args, cfg) -> fields``, one row in
+``COMMANDS`` and one ``$def`` in the schema.
 """
 
 from __future__ import annotations
@@ -110,26 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("ascii", "svg", "json"), default="json"
     )
 
-    top = _Cli(prog="padicdx", description=__doc__)
+    # the docstring's last paragraph is for developers, not for --help;
+    # python -OO strips the docstring
+    top = _Cli(prog="padicdx", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, expr_count=1, help=None):
-        sp = sub.add_parser(name, parents=[common], help=help)
-        if expr_count:
-            sp.add_argument("expr", nargs=expr_count)
-        return sp
-
-    add("norm", help="level-k norm and order of a finite operator")
-    add("order", help="order of a finite operator at level k")
-    add("commutator", expr_count=2, help="bracket of two finite operators")
-    add("micro-check", help="unit test in the (k, r) Laurent ring")
-    add("micro-invert", help="certified inverse in the (k, r) Laurent ring")
-    add("thm28", help="microlocal invertibility of a finite operator at level r")
-    add("charvar", help="characteristic cycle of a cyclic module")
-    add("blowup-support", help="support on the blow-up charts")
-    add("fiber-check", help="multiplicity bookkeeping across a blow-up")
-    add("connection-level", help="least level at which a connection converges")
-    add("render", help="draw the characteristic cycle")
+    for name, (_, expr_count, help_line) in COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=help_line)
+        sp.add_argument("expr", nargs=expr_count)
     return top
 
 
@@ -171,12 +161,20 @@ def _verdict_json(v) -> dict:
     return doc
 
 
-def _write_plot(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise ConfigError(f"cannot write the plot to {path!r}: {e.strerror}") from None
+def _plot(args, cc) -> dict:
+    """The plot format, the rendering of cc in it, and the ``--plot`` path
+    it was written to, or None."""
+    fmt = args.format if args.format != "json" else "ascii"
+    rendering = charcycle.render_cc(cc, fmt)
+    if args.plot:
+        try:
+            with open(args.plot, "w", encoding="utf-8") as fh:
+                fh.write(rendering)
+        except OSError as e:
+            raise ConfigError(
+                f"cannot write the plot to {args.plot!r}: {e.strerror}"
+            ) from None
+    return {"format": fmt, "rendering": rendering, "plot_path": args.plot or None}
 
 
 def _parse_matrix(text: str, cfg: SessionConfig) -> ConnectionMatrix:
@@ -196,131 +194,101 @@ def _parse_matrix(text: str, cfg: SessionConfig) -> ConnectionMatrix:
     return ConnectionMatrix(rows, cfg.prime)
 
 
-def _run(args) -> dict:
-    cfg = _session(args)
-    cmd = args.command
+# Handlers take (args, cfg) and return their document's fields after
+# "command" and "prime".  They call the kernel through this module's
+# globals, so that a wrapper set on the module is the one that runs.
 
-    if cmd == "norm" or cmd == "order":
-        P = _diff_op(args.expr[0], cfg)
-        norm = P.norm(cfg.k)
-        order = None if P.is_zero() else P.order(cfg.k)
-        return {
-            "command": cmd,
-            "prime": cfg.prime,
-            "level": cfg.k,
-            "norm_exp": _norm_json(norm),
-            "order": order,
-        }
 
-    if cmd == "commutator":
-        P = _diff_op(args.expr[0], cfg)
-        Q = _diff_op(args.expr[1], cfg)
-        C = commutator(P, Q)
-        return {
-            "command": cmd,
-            "prime": cfg.prime,
-            "level": cfg.k,
-            "result": str(C),
-            "norm_exp": _norm_json(C.norm(cfg.k)),
-        }
+def _norm(args, cfg):
+    P = _diff_op(args.expr[0], cfg)
+    norm = P.norm(cfg.k)
+    order = None if P.is_zero() else P.order(cfg.k)
+    return {"level": cfg.k, "norm_exp": _norm_json(norm), "order": order}
 
-    if cmd == "micro-check":
-        S = _micro_op(args.expr[0], cfg)
-        verdict = micro_unit_verdict(S, cfg.k, cfg.r)
-        doc = {
-            "command": cmd,
-            "prime": cfg.prime,
-            "k": cfg.k,
-            "r": cfg.r,
-            "canonical": S.canonical_form_json(cfg.k, cfg.r),
-        }
-        doc.update(_verdict_json(verdict))
-        return doc
 
-    if cmd == "micro-invert":
-        S = _micro_op(args.expr[0], cfg)
-        T, rho = micro_invert(S, cfg.k, cfg.r, cfg.eps_exp)
-        return {
-            "command": cmd,
-            "prime": cfg.prime,
-            "k": cfg.k,
-            "r": cfg.r,
-            "eps_exp": cfg.eps_exp,
-            "inverse": str(T),
-            "residual_exp": _norm_json(rho),
-        }
+def _commutator(args, cfg):
+    C = commutator(_diff_op(args.expr[0], cfg), _diff_op(args.expr[1], cfg))
+    return {"level": cfg.k, "result": str(C), "norm_exp": _norm_json(C.norm(cfg.k))}
 
-    if cmd == "thm28":
-        P = _diff_op(args.expr[0], cfg)
-        verdict = finite_order_verdict(P, cfg.r)
-        doc = {"command": cmd, "prime": cfg.prime, "r": cfg.r}
-        doc.update(_verdict_json(verdict))
-        return doc
 
-    if cmd == "charvar":
-        P = _diff_op(args.expr[0], cfg)
-        cc, report = charcycle._cycle_and_support(P)
-        doc = {"command": cmd, "prime": cfg.prime}
-        doc.update(cc.to_json())
-        doc["rmin"] = report.rmin
-        if args.plot:
-            fmt = args.format if args.format != "json" else "ascii"
-            _write_plot(args.plot, charcycle.render_cc(cc, fmt))
-            doc["plot_path"] = args.plot
-        return doc
+def _micro_check(args, cfg):
+    S = _micro_op(args.expr[0], cfg)
+    verdict = micro_unit_verdict(S, cfg.k, cfg.r)
+    canonical = S.canonical_form_json(cfg.k, cfg.r)
+    return {"k": cfg.k, "r": cfg.r, "canonical": canonical, **_verdict_json(verdict)}
 
-    if cmd == "blowup-support":
-        B = _require_blowup(cfg)
-        P = _diff_op(args.expr[0], cfg)
-        points = support_on_blowup(P, B)
-        return {
-            "command": cmd,
-            "prime": cfg.prime,
-            "blowup": {"c": str(B.center), "m": B.m},
-            "points": [cp.to_json(mult) for cp, mult in points],
-        }
 
-    if cmd == "fiber-check":
-        B = _require_blowup(cfg)
-        P = _diff_op(args.expr[0], cfg)
-        ok, base, above, m0_preserved = _fiber_report(P, B)
-        return {
-            "command": cmd,
-            "prime": cfg.prime,
-            "blowup": {"c": str(B.center), "m": B.m},
-            "ok": ok,
-            "base": [[pt.label(), mult] for pt, mult in base.points],
-            "blowup_points": [[cp.point.label(), mult] for cp, mult in above],
-            "m0_preserved": m0_preserved,
-        }
+def _micro_invert(args, cfg):
+    T, rho = micro_invert(_micro_op(args.expr[0], cfg), cfg.k, cfg.r, cfg.eps_exp)
+    return {
+        "k": cfg.k,
+        "r": cfg.r,
+        "eps_exp": cfg.eps_exp,
+        "inverse": str(T),
+        "residual_exp": _norm_json(rho),
+    }
 
-    if cmd == "connection-level":
-        A = _parse_matrix(args.expr[0], cfg)
-        return {
-            "command": cmd,
-            "prime": cfg.prime,
-            "level": connection_level(A),
-            "sup_norm_exp": _norm_json(A.sup_norm()),
-        }
 
-    if cmd == "render":
-        P = _diff_op(args.expr[0], cfg)
-        cc = charcycle.char_cycle(P)
-        fmt = args.format if args.format != "json" else "ascii"
-        rendering = charcycle.render_cc(cc, fmt)
-        doc = {
-            "command": cmd,
-            "prime": cfg.prime,
-            "format": fmt,
-            "rendering": rendering,
-            "plot_path": None,
-        }
-        if args.plot:
-            _write_plot(args.plot, rendering)
-            doc["plot_path"] = args.plot
-        return doc
+def _thm28(args, cfg):
+    verdict = finite_order_verdict(_diff_op(args.expr[0], cfg), cfg.r)
+    return {"r": cfg.r, **_verdict_json(verdict)}
 
-    raise ConfigError(f"unknown subcommand {cmd!r}")
+
+def _charvar(args, cfg):
+    cc, report = charcycle._cycle_and_support(_diff_op(args.expr[0], cfg))
+    doc = {**cc.to_json(), "rmin": report.rmin}
+    if args.plot:
+        doc["plot_path"] = _plot(args, cc)["plot_path"]
+    return doc
+
+
+def _blowup_support(args, cfg):
+    B = _require_blowup(cfg)
+    points = support_on_blowup(_diff_op(args.expr[0], cfg), B)
+    return {
+        "blowup": {"c": str(B.center), "m": B.m},
+        "points": [cp.to_json(mult) for cp, mult in points],
+    }
+
+
+def _fiber_check(args, cfg):
+    B = _require_blowup(cfg)
+    ok, base, above, m0_preserved = _fiber_report(_diff_op(args.expr[0], cfg), B)
+    return {
+        "blowup": {"c": str(B.center), "m": B.m},
+        "ok": ok,
+        "base": [[pt.label(), mult] for pt, mult in base.points],
+        "blowup_points": [[cp.point.label(), mult] for cp, mult in above],
+        "m0_preserved": m0_preserved,
+    }
+
+
+def _connection_level(args, cfg):
+    A = _parse_matrix(args.expr[0], cfg)
+    return {"level": connection_level(A), "sup_norm_exp": _norm_json(A.sup_norm())}
+
+
+def _render(args, cfg):
+    return _plot(args, charcycle.char_cycle(_diff_op(args.expr[0], cfg)))
+
+
+# name: (handler, expression count, help line), in the order --help lists them
+COMMANDS = {
+    "norm": (_norm, 1, "level-k norm and order of a finite operator"),
+    "order": (_norm, 1, "order of a finite operator at level k"),
+    "commutator": (_commutator, 2, "bracket of two finite operators"),
+    "micro-check": (_micro_check, 1, "unit test in the (k, r) Laurent ring"),
+    "micro-invert": (_micro_invert, 1, "certified inverse in the (k, r) Laurent ring"),
+    "thm28": (_thm28, 1, "microlocal invertibility of a finite operator at level r"),
+    "charvar": (_charvar, 1, "characteristic cycle of a cyclic module"),
+    "blowup-support": (_blowup_support, 1, "support on the blow-up charts"),
+    "fiber-check": (_fiber_check, 1, "multiplicity bookkeeping across a blow-up"),
+    "connection-level": (_connection_level, 1, "least level at which a connection converges"),
+    "render": (_render, 1, "draw the characteristic cycle"),
+}
+
+# errors in the request itself exit with 1; every other KernelError with 2
+USAGE_ERRORS = (ParseError, NegativePowerOutsideMicroMode, MixedVariables, ConfigError)
 
 
 @functools.cache
@@ -329,21 +297,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    code = 0
     try:
         args = _parser().parse_args(argv)
-        doc = _run(args)
-    except (ParseError, NegativePowerOutsideMicroMode, MixedVariables, ConfigError) as e:
+        cfg = _session(args)
+        handler = COMMANDS[args.command][0]
+        doc = {"command": args.command, "prime": cfg.prime, **handler(args, cfg)}
+    except KernelError as e:
         doc = {"error": {"type": type(e).__name__, "message": str(e)}}
         if isinstance(e, ParseError):
             doc["error"]["position"] = e.position
-        print(json.dumps(doc, indent=2))
-        return 1
-    except KernelError as e:
-        doc = {"error": {"type": type(e).__name__, "message": str(e)}}
-        print(json.dumps(doc, indent=2))
-        return 2
+        code = 1 if isinstance(e, USAGE_ERRORS) else 2
     print(json.dumps(doc, indent=2))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

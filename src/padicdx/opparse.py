@@ -38,62 +38,46 @@ VARIABLES = ("x", "t", "u")
 # syntax tree
 
 
+class _Node:
+    def __str__(self):
+        return print_expr(self)
+
+
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Node):
     terms: tuple
 
-    def __str__(self):
-        return print_expr(self)
-
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Node):
     factors: tuple
 
-    def __str__(self):
-        return print_expr(self)
-
 
 @dataclass(frozen=True)
-class Power:
+class Power(_Node):
     base: object
     exponent: int
 
-    def __str__(self):
-        return print_expr(self)
-
 
 @dataclass(frozen=True)
-class Symbol:
+class Symbol(_Node):
     name: str
 
-    def __str__(self):
-        return print_expr(self)
-
 
 @dataclass(frozen=True)
-class Rational:
+class Rational(_Node):
     numerator: int
     denominator: int = 1
 
-    def __str__(self):
-        return print_expr(self)
-
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: object
 
-    def __str__(self):
-        return print_expr(self)
-
 
 @dataclass(frozen=True)
-class Paren:
+class Paren(_Node):
     inner: object
-
-    def __str__(self):
-        return print_expr(self)
 
 
 # lexer
@@ -354,19 +338,19 @@ class _Normalizer:
         self.var: str | None = None
         self.default_var = default_var
 
+    def _constant(self, value) -> MicroOp:
+        var = self.var or self.default_var
+        return MicroOp({0: PAdicScalar(value, self.p)}, self.p, var)
+
     def eval(self, node) -> MicroOp:
         p = self.p
         if isinstance(node, Rational):
-            return MicroOp(
-                {0: PAdicScalar(Fraction(node.numerator, node.denominator), p)},
-                p,
-                self.var or self.default_var,
-            )
+            return self._constant(Fraction(node.numerator, node.denominator))
         if isinstance(node, Symbol):
             if node.name == "d":
                 return MicroOp.d_power(1, p, self.var or self.default_var)
             if node.name == "p":
-                return MicroOp({0: PAdicScalar(p, p)}, p, self.var or self.default_var)
+                return self._constant(p)
             if node.name in VARIABLES:
                 if self.var is None:
                     self.var = node.name
@@ -397,11 +381,7 @@ class _Normalizer:
                         node.exponent, p, self.var or self.default_var
                     )
                 if node.base == Symbol("p"):
-                    return MicroOp(
-                        {0: PAdicScalar(Fraction(p) ** node.exponent, p)},
-                        p,
-                        self.var or self.default_var,
-                    )
+                    return self._constant(Fraction(p) ** node.exponent)
                 raise NegativePowerOutsideMicroMode(
                     "negative exponent only on d or p"
                 )

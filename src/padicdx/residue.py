@@ -63,6 +63,12 @@ class ResidueElem:
             return NotImplemented
         return ResidueElem(self.value - v, self.p)
 
+    def __rsub__(self, other):
+        v = self._check(other)
+        if v is None:
+            return NotImplemented
+        return ResidueElem(v - self.value, self.p)
+
     def __mul__(self, other):
         v = self._check(other)
         if v is None:

@@ -145,8 +145,9 @@ class _Ring:
         while exp:
             if exp & 1:
                 out = out * base
-            base = base * base
             exp >>= 1
+            if exp:
+                base = base * base
         return out
 
 

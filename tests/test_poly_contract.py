@@ -43,6 +43,24 @@ def test_subtraction_and_powers(cls):
 
 
 @pytest.mark.parametrize("cls", CLASSES)
+def test_power_products(cls, monkeypatch):
+    # square and multiply: one product per set bit, one squaring per bit
+    # below the top one, and no squaring after it
+    f = cls((1, 1), 7)
+    powers = [cls.one(7)]
+    for _ in range(20):
+        powers.append(powers[-1] * f)
+    products = []
+    mul = cls.__mul__
+    monkeypatch.setattr(cls, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for exp in range(21):
+        products.clear()
+        assert f ** exp == powers[exp]
+        expected = bin(exp).count("1") + exp.bit_length() - 1 if exp else 0
+        assert len(products) == expected, exp
+
+
+@pytest.mark.parametrize("cls", CLASSES)
 def test_mixed_variables(cls):
     x, t = cls.variable(3), cls.variable(3, "t")
     for thunk in (lambda: x + t, lambda: t + x, lambda: x * t, lambda: t * x,

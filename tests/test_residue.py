@@ -122,6 +122,15 @@ def test_mixed_primes_residue_elem():
     assert isinstance(info.value, KernelError) and isinstance(info.value, ValueError)
 
 
+def test_residue_elem_subtraction_from_either_side():
+    assert 1 - ResidueElem(2, 5) == ResidueElem(4, 5)
+    assert ResidueElem(2, 5) - 1 == ResidueElem(1, 5)
+    a, b = ResidueElem(1, 2), ResidueElem(1, 3)
+    for thunk in (lambda: a - b, lambda: b - a):
+        with pytest.raises(MixedPrimes, match="mixed primes"):
+            thunk()
+
+
 def test_mixed_primes_residue_poly():
     f = P([1, 1], p=2)
     for other in (P([1, 1], p=3), ResidueElem(1, 3)):
