@@ -95,19 +95,17 @@ def infinite_support(P: DiffOp) -> SupportReport:
 
 def char_cycle(P: DiffOp) -> CharCycle:
     """Characteristic cycle of the cyclic module presented by P."""
-    if not P.finite:
-        raise TruncatedOperand("cycle undecidable for a truncated operator")
-    if P.is_zero():
-        raise ZeroOperator("the module presented by zero is not cyclic-finite")
-    if P.is_disc_unit():
-        return CharCycle(0, ())
-    return CharCycle(P.degree(), infinite_support(P).points)
+    return _cycle_and_support(P)[0]
 
 
 def _cycle_and_support(P: DiffOp) -> tuple[CharCycle, SupportReport]:
     """``char_cycle(P)`` and ``infinite_support(P)``, factoring once."""
-    if not P.finite or P.is_zero() or P.is_disc_unit():
-        return char_cycle(P), infinite_support(P)  # char_cycle raises or factors nothing
+    if not P.finite:
+        raise TruncatedOperand("cycle undecidable for a truncated operator")
+    if P.is_zero():
+        raise ZeroOperator("the module presented by zero is not cyclic-finite")
+    if P.is_disc_unit():  # order zero: decay holds at level 1, no support
+        return CharCycle(0, ()), SupportReport(1, ())
     report = infinite_support(P)
     return CharCycle(P.degree(), report.points), report
 

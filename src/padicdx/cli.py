@@ -72,7 +72,7 @@ class SessionConfig:
 
 
 _BLOWUP_RE = re.compile(
-    r"^c=(?P<c>-?\d+(/\d+)?|p(\^-?\d+)?),m=(?P<m>\d+)$"
+    r"^c=(?P<c>-?[0-9]+(/[0-9]+)?|p(\^-?[0-9]+)?),m=(?P<m>[0-9]+)$"
 )
 
 

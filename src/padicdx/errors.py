@@ -51,7 +51,7 @@ class NegativePowerOutsideMicroMode(KernelError):
 
 
 class PrecisionNotReached(KernelError):
-    """A certified inversion that missed its target on every attempt."""
+    """A certified inversion whose exact residual missed its target."""
 
 
 class MixedVariables(KernelError, ValueError):

@@ -23,9 +23,9 @@ the left, as a function, and walks no derivative chain.  Each product on
 the way is a short product: ``leibniz_product`` with a floor computes only
 the powers of the derivation that can reach the cutoff and returns exactly
 what :meth:`MicroOp.truncate_below` would keep of the full product.  The
-inverse itself is cut at eps - max(0, |S|), and its residual |S*T - 1| is
-recomputed from the exact, untruncated product; a miss raises
-``PrecisionNotReached`` after a fixed number of attempts.
+cutoffs are derived so that one pass reaches the target: the inverse is
+cut at eps - max(0, |S|), and its residual |S*T - 1| is recomputed from
+the exact, untruncated product; a miss raises ``PrecisionNotReached``.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from .residue import ResiduePoly
 from .scalars import NEG_INF, NormExp, PAdicScalar
 from .tatepoly import TatePoly, _as_exp
 from .weyl import DiffOp, _Operator, leibniz_product, weight
-
-# each retry doubles the working precision
-INVERT_ATTEMPTS = 4
 
 
 def _check_levels(k: int, r: int):
@@ -187,28 +184,15 @@ class FailsDecay:
     tag = "FailsDecay"
 
 
-def _level_k_coefficients(S: MicroOp, k: int) -> dict[int, TatePoly]:
-    """Coefficients of S in the basis scaled by level k at every index.
-
-    For n >= 0 this matches the canonical (k, r) form; for n < 0 it is
-    the canonical coefficient rescaled by the uniformizer power n*(r-k),
-    which removes the dependence on r.
-    """
-    shift = {
-        n: c.scale(PAdicScalar.uniformizer_power(S.p, -k * n))
-        for n, c in S.coeffs.items()
-    }
-    return shift
-
-
 def micro_unit_verdict(S: MicroOp, k: int, r: int):
     """Invertibility test in the (k, r) Laurent ring over the disc.
 
-    Checks, on the level-k rescaled coefficients: a unique coefficient of
-    maximal norm, contraction of the shifted tail (exactly the condition
-    that the geometric series for the inverse converges in the (k, r)
-    norm; the lowest failing offset is reported), and invertibility of
-    the dominant coefficient on the disc.
+    Checks, on the coefficient norms weighted by k*n at every index n
+    (for n < 0 the (k, r) weight shifted by n*(k - r), which removes the
+    dependence on r): a unique coefficient of maximal norm, contraction of
+    the shifted tail (exactly the condition that the geometric series for
+    the inverse converges in the (k, r) norm; the lowest failing offset is
+    reported), and invertibility of the dominant coefficient on the disc.
     When only the last condition fails, the verdict carries the reduction
     of the normalized dominant coefficient, whose zeros are the
     obstruction.
@@ -216,8 +200,7 @@ def micro_unit_verdict(S: MicroOp, k: int, r: int):
     _check_levels(k, r)
     if S.is_zero():
         raise ZeroOperator("zero element of the Laurent ring")
-    alpha = _level_k_coefficients(S, k)
-    exps = {n: c.gauss_norm() for n, c in alpha.items()}
+    exps = {n: c.gauss_norm() + k * n for n, c in S.coeffs.items()}
     top = max(exps.values())
     candidates = [n for n, e in exps.items() if e == top]
     if len(candidates) != 1:
@@ -232,7 +215,8 @@ def micro_unit_verdict(S: MicroOp, k: int, r: int):
             return NotInvertible(
                 f"tail coefficient at offset {n} does not contract at levels ({k}, {r})"
             )
-    aq = alpha[q]
+    # a power of p changes neither the unit test nor the normalized form
+    aq = S.coeffs[q]
     if aq.is_unit_on_disc():
         return InvertibleOnDisc(q)
     normalized, _ = aq.normalize()
@@ -253,17 +237,17 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
 
     Left placement: with s_q d^q the dominant term and tail = S - s_q d^q,
     S = (1 + R) s_q d^q where R = tail * (d^-q s_q^-1).  With g the
-    inverse of s_q on the disc to the working precision w
-    (``invert_on_disc``; exact when s_q is a constant) in place of s_q^-1,
+    inverse of s_q on the disc to precision eps (``invert_on_disc``; exact
+    when s_q is a constant) in place of s_q^-1,
 
         T = d^-q (g * sum_n (-R)^n),
 
     so g multiplies the series on the left, as a function, and walks no
     derivative chain; only the powers d^-q walk chains.
 
-    Floor and cutoffs: every product is a short product, cut at a cutoff
-    chosen so that what it drops moves S*T - 1 by less than w.  With
-    g s_q = 1 + e, the identity S d^-q g = 1 + e + R is exact, so
+    Cutoffs: every product is a short product, cut so that what it drops
+    moves S*T - 1 by less than eps.  With g s_q = 1 + e, the identity
+    S d^-q g = 1 + e + R is exact, so
 
         S T - 1 = -(-R)^(L+1) + (1 + R) E + (e + dR + tail dG) A
                   - S d^-q dU - S dT
@@ -272,18 +256,14 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     dR, dU, dT are what the products for d^-q g, R, U = g A and T drop.
     The unit verdict gives |R| < 0, hence |1 + R| = 0 and |A| <= 0; the
     (k, r) norm is submultiplicative and |tail| <= |S|.  So every term is
-    below w when R and the series are cut at w, U at
-    w - max(0, |S| + weight(-q)), and d^-q g and T at w - max(0, |S|), and
-    the series stops at the first L with (L+1)|R| < w or at a power that
-    truncates to zero.
+    below eps when R and the series are cut at eps, U at
+    eps - max(0, |S| + weight(-q)), and d^-q g and T at eps - max(0, |S|),
+    and the series stops at the first L with (L+1)|R| < eps or at a power
+    that truncates to zero.  The cut of T keeps it short.
 
-    Truncated inverse: the last cut, at eps - max(0, |S|) on the first
-    attempt, drops every monomial of T that cannot move the residual to
-    the target, which keeps T short.
-
-    Certificate: rho is recomputed from the full exact product S*T.  If
-    it misses eps, w is doubled (w -> 2w - 1) and the inverse rebuilt, up
-    to INVERT_ATTEMPTS times, before ``PrecisionNotReached``.
+    Certificate: rho is recomputed from the full exact product S*T.  The
+    bound above puts it below eps, so there is one pass; a miss raises
+    ``PrecisionNotReached`` at once.
     """
     eps_exp = _as_exp(eps)
     verdict = micro_unit_verdict(S, k, r)
@@ -291,38 +271,28 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
         raise NotInvertibleHere(f"unit test failed: {verdict}")
     q = verdict.q
     p, var = S.p, S.var
-    lead = S.coeffs[q]
     tail = MicroOp({n: c for n, c in S.coeffs.items() if n != q}, p, var)
     d_inv = MicroOp.d_power(-q, p, var)
     norm_s = S.norm(k, r).exp
-    work = eps_exp
-    for _ in range(INVERT_ATTEMPTS):
-        if lead.is_constant():
-            inv_lead = TatePoly.constant(1 / lead.constant_term(), p, var)
-        else:
-            inv_lead, _ = lead.invert_on_disc(work)
-        g = MicroOp.from_poly(inv_lead)
-        outer = work - max(0, norm_s)
-        minus_r = -_short(tail, _short(d_inv, g, k, r, outer), k, r, work)
-        # R contracts, so its exponent is at most -1; the smallest L with
-        # (L+1)*exp < w bounds the series
-        rnorm = minus_r.norm(k, r)
-        terms = 0 if rnorm.is_neg_inf() else max(0, work // rnorm.exp)
-        acc = power = MicroOp.one(p, var)
-        for _ in range(terms):
-            power = _short(power, minus_r, k, r, work)
-            if power.is_zero():
-                break
-            acc = acc + power
-        inner = work - max(0, norm_s + weight(-q, k, r))
-        T = _short(d_inv, _short(g, acc, k, r, inner), k, r, outer)
-        rho = (S * T - 1).norm(k, r)
-        if rho < NormExp(eps_exp):
-            return T, rho
-        work = 2 * work - 1
-    raise PrecisionNotReached(
-        f"no inverse within p^{eps_exp} after {INVERT_ATTEMPTS} attempts"
-    )
+    g = MicroOp.from_poly(S.coeffs[q].invert_on_disc(eps_exp)[0])
+    outer = eps_exp - max(0, norm_s)
+    minus_r = -_short(tail, _short(d_inv, g, k, r, outer), k, r, eps_exp)
+    # R contracts, so its exponent is at most -1; the smallest L with
+    # (L+1)*exp < eps bounds the series
+    rnorm = minus_r.norm(k, r)
+    terms = 0 if rnorm.is_neg_inf() else max(0, eps_exp // rnorm.exp)
+    acc = power = MicroOp.one(p, var)
+    for _ in range(terms):
+        power = _short(power, minus_r, k, r, eps_exp)
+        if power.is_zero():
+            break
+        acc = acc + power
+    inner = eps_exp - max(0, norm_s + weight(-q, k, r))
+    T = _short(d_inv, _short(g, acc, k, r, inner), k, r, outer)
+    rho = (S * T - 1).norm(k, r)
+    if not rho < NormExp(eps_exp):
+        raise PrecisionNotReached(f"no inverse within p^{eps_exp}: residual {rho}")
+    return T, rho
 
 
 def finite_order_verdict(P: DiffOp, r: int):

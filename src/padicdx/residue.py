@@ -254,28 +254,31 @@ def _equal_degree_split(g, d: int, p: int, rng) -> list[tuple]:
             return _equal_degree_split(s, d, p, rng) + _equal_degree_split(rest, d, p, rng)
 
 
+def _format_terms(pairs) -> str:
+    """(negative, body) pairs, top term first, as a signed sum such as
+    ``a + b - c``; "0" for no pairs.  Operators print through it too."""
+    text = "".join(f" - {body}" if negative else f" + {body}" for negative, body in pairs)
+    if not text:
+        return "0"
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
 def _format_poly(num, den: int, var: str) -> str:
     """The text of the polynomial with coefficients num[i] / den, from the
     top degree down, nonzero terms only."""
-    if not num:
-        return "0"
-    parts: list[str] = []
+    pairs = []
     for i in range(len(num) - 1, -1, -1):
         a = num[i]
         if not a:
             continue
-        sign = "-" if a < 0 else "+"
         mag = Fraction(abs(a), den)
         if i == 0:
             body = str(mag)
         else:
             v = var if i == 1 else f"{var}^{i}"
             body = v if mag == 1 else f"{mag}*{v}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+        pairs.append((a < 0, body))
+    return _format_terms(pairs)
 
 
 class _DensePoly(_Ring):
@@ -417,9 +420,13 @@ class ResiduePoly(_DensePoly):
 
     def gcd(self, other: "ResiduePoly") -> "ResiduePoly":
         o = self._check(other)
+        if o is None:
+            raise TypeError(f"gcd of a residue polynomial and {type(other).__name__}")
         return ResiduePoly(_gcd(self.coeffs, o.coeffs, self.p), self.p, self._merge_var(o))
 
     def pow_mod(self, exp: int, modulus: "ResiduePoly") -> "ResiduePoly":
+        if exp < 0:
+            raise ValueError(self._NEGATIVE_POWER)
         r = self % modulus  # checks the prime, the variables and a zero modulus
         return ResiduePoly(_pow_mod(r.coeffs, exp, modulus.coeffs, self.p), self.p, r.var)
 

@@ -316,6 +316,8 @@ class TatePoly(_DensePoly):
         return (self.p, self.num, self.den, self.var if len(self.num) > 1 else "")
 
     def __eq__(self, other):
+        if isinstance(other, PAdicScalar) and other.p != self.p:
+            return False
         if isinstance(other, (int, Fraction, PAdicScalar)):
             other = self._check(other)
         if not isinstance(other, TatePoly):

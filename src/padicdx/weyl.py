@@ -24,6 +24,7 @@ import math
 from itertools import zip_longest
 
 from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
+from .residue import _format_terms
 from .scalars import NEG_INF, NormExp, PAdicScalar, _Ring
 from .tatepoly import TatePoly, _canon, _keep_above
 
@@ -250,6 +251,8 @@ class _Operator(_Ring):
         )
 
     def __eq__(self, other):
+        if isinstance(other, (TatePoly, PAdicScalar)) and other.p != self.p:
+            return False
         if isinstance(other, (int, TatePoly, PAdicScalar)):
             other = self._check(other)
         if not isinstance(other, _Operator):
@@ -347,33 +350,18 @@ class DiffOp(_Operator):
 
 
 def _format_operator(coeffs: dict[int, TatePoly]) -> str:
-    if not coeffs:
-        return "0"
-    out = ""
+    pairs = []
     for n in sorted(coeffs, reverse=True):
-        c = coeffs[n]
-        negated = str(c).startswith("-")
-        if negated:
-            c = -c
-        text = str(c)
-        if n == 0:
-            body = f"({text})" if _needs_parens(text) else text
-        else:
-            dpow = "d" if n == 1 else f"d^{n}"
-            if c == TatePoly.one(c.p, c.var):
-                body = dpow
-            else:
-                coef = f"({text})" if _needs_parens(text) else text
-                body = f"{coef}*{dpow}"
-        if not out:
-            out = f"-{body}" if negated else body
-        else:
-            out += f" - {body}" if negated else f" + {body}"
-    return out
-
-
-def _needs_parens(text: str) -> bool:
-    return " + " in text or " - " in text or text.startswith("-")
+        # a negative coefficient gives its sign to the joint
+        text = str(coeffs[n])
+        negative = text.startswith("-")
+        if negative:
+            text = str(-coeffs[n])
+        coef = f"({text})" if " + " in text or " - " in text else text
+        dpow = "d" if n == 1 else f"d^{n}"
+        body = coef if n == 0 else dpow if text == "1" else f"{coef}*{dpow}"
+        pairs.append((negative, body))
+    return _format_terms(pairs)
 
 
 def commutator(P: DiffOp, Q: DiffOp) -> DiffOp:

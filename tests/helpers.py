@@ -142,6 +142,41 @@ def join_residue_str(coeffs, var: str) -> str:
     return " + ".join(parts)
 
 
+def join_operator_str(coeffs: dict) -> str:
+    """An operator's text as its own printer wrote it before it shared the
+    polynomial printer's sign logic: terms from the top power of the
+    derivation down, a negative coefficient negated and its sign moved
+    to the joint, a coefficient with a joint or a sign of its own in
+    parentheses."""
+
+    def needs_parens(text):
+        return " + " in text or " - " in text or text.startswith("-")
+
+    if not coeffs:
+        return "0"
+    out = ""
+    for n in sorted(coeffs, reverse=True):
+        c = coeffs[n]
+        negated = str(c).startswith("-")
+        if negated:
+            c = -c
+        text = str(c)
+        if n == 0:
+            body = f"({text})" if needs_parens(text) else text
+        else:
+            dpow = "d" if n == 1 else f"d^{n}"
+            if c == TatePoly.one(c.p, c.var):
+                body = dpow
+            else:
+                coef = f"({text})" if needs_parens(text) else text
+                body = f"{coef}*{dpow}"
+        if not out:
+            out = f"-{body}" if negated else body
+        else:
+            out += f" - {body}" if negated else f" + {body}"
+    return out
+
+
 # Fraction oracle for TatePoly: coefficient lists ascending by degree,
 # trailing zeros trimmed, one Fraction per coefficient
 

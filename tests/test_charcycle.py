@@ -92,6 +92,22 @@ def test_char_cycle_order_zero_non_unit():
     assert not cc.is_zero()
 
 
+def test_cycle_and_support_agree_with_each_entry_point():
+    # the combined call, charvar's, gives what the two public calls give,
+    # disc units included, and raises char_cycle's errors
+    from padicdx.charcycle import _cycle_and_support
+
+    rng = random.Random(29)
+    p = 3
+    units = [DiffOp.one(p), DiffOp.from_poly(TatePoly([2, 3, 9], p).scale(w(p, -2)))]
+    for P in units + [rand_diffop(rng, p, nonzero=True) for _ in range(20)]:
+        assert _cycle_and_support(P) == (char_cycle(P), infinite_support(P))
+    with pytest.raises(ZeroOperator, match="^the module presented by zero"):
+        char_cycle(DiffOp.zero(p))
+    with pytest.raises(TruncatedOperand, match="^cycle undecidable"):
+        char_cycle(DiffOp.truncated({0: 1}, p))
+
+
 def test_cc_add():
     p = 2
     one_line = CharCycle(1, ((point([0, 1], p), 1),))

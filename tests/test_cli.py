@@ -239,6 +239,16 @@ def test_non_ascii_digits_are_parse_errors(capsys):
         assert doc["error"]["position"] == 2
 
 
+def test_non_ascii_digits_in_blowup_spec_are_config_errors(capsys):
+    # an Arabic-Indic digit is a digit to the regular expression class \d
+    for spec in ("c=\u0661,m=1", "c=1,m=\u0661", "c=p^\u0662,m=1", "c=1/\u0663,m=1"):
+        code, doc = run(capsys, "blowup-support", "-p", "2", "--blowup", spec, "x*d")
+        assert code == 1
+        assert doc["error"]["type"] == "ConfigError"
+    code, doc = run(capsys, "blowup-support", "-p", "2", "--blowup", "c=1,m=1", "x*d")
+    assert code == 0
+
+
 def test_blowup_spec_parsing():
     B = parse_blowup_spec("c=0,m=1", 2)
     assert B.center == PAdicScalar.zero(2) and B.m == 1

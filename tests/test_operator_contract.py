@@ -5,8 +5,11 @@ immutability, negative powers and the truncated tag."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdx import DiffOp, MicroOp, MixedPrimes, PAdicScalar, TatePoly, TruncatedOperand
+from helpers import join_operator_str
 
 p = 2
 P = DiffOp({0: TatePoly([1, 1], p), 1: 1}, p)
@@ -141,3 +144,46 @@ def test_equality_is_total():
     assert T != P and T == DiffOp.truncated({0: 1, 1: 1}, p)
     assert (DiffOp.one(2) == MicroOp.one(3)) is False
     assert (MicroOp.one(3) == DiffOp.one(2)) is False
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (DiffOp.one(2), TatePoly.one(3)),
+        (DiffOp.one(2), PAdicScalar(1, 3)),
+        (MicroOp.one(2), TatePoly.one(3)),
+        (MicroOp.one(2), PAdicScalar(1, 3)),
+        (TatePoly.one(2), PAdicScalar(1, 3)),
+        (TatePoly.one(2), TatePoly.one(3)),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_values_over_other_primes_are_unequal(a, b):
+    # comparison answers, in both directions, where arithmetic would raise
+    for left, right in ((a, b), (b, a)):
+        assert (left == right) is False
+        assert (left != right) is True
+
+
+def _op_coefficient(p):
+    """A polynomial of degree 0 to 3 with small signed coefficients, times
+    p to a power in -2..2; zero, one and minus one come up often."""
+    number = st.one_of(
+        st.sampled_from([0, 1, -1]),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5])),
+    )
+    return st.builds(
+        lambda cs, v: TatePoly(cs, p).scale(Fraction(p) ** v),
+        st.lists(number, min_size=1, max_size=4),
+        st.integers(-2, 2),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), micro=st.booleans(), data=st.data())
+def test_operator_text_matches_old_printer(p, micro, data):
+    lo = -3 if micro else 0
+    powers = data.draw(st.lists(st.integers(lo, 3), max_size=4, unique=True), label="powers")
+    coeffs = {n: data.draw(_op_coefficient(p), label=f"c[{n}]") for n in powers}
+    op = (MicroOp if micro else DiffOp)(coeffs, p)
+    assert str(op) == join_operator_str(op.coeffs)

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,29 @@ def test_mixed_primes_residue_poly():
         f.gcd(P([1, 1], p=5))
     with pytest.raises(ValueError):
         divmod(f, P([1], p=3))
+
+
+def test_pow_mod_refuses_a_negative_exponent():
+    # -1 >> 1 stays -1, so square and multiply would never end; an alarm
+    # turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("pow_mod did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(ValueError, match="^negative power of a polynomial$"):
+            P([1, 1], 3).pow_mod(-1, P([1, 0, 1], 3))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert P([1, 1], 3).pow_mod(0, P([1, 0, 1], 3)) == P([1], 3)
+
+
+def test_gcd_with_a_non_polynomial_is_a_type_error():
+    for other in ("x", None, 1.5):
+        with pytest.raises(TypeError):
+            P([1, 1]).gcd(other)
 
 
 def test_closed_point_validation_and_identity():
