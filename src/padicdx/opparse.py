@@ -12,9 +12,14 @@ Exponents are nonnegative integers, except on the prime symbol (any
 integer, giving exact scalar powers) and on the derivation symbol in
 Laurent mode, where negative powers denote the inverse derivation.
 Rationals are integer literals or slash fractions written without
-spaces.  Normalization into an operator moves coefficients left of the
-derivation powers through the product rule only; the syntax tree itself
-preserves the source shape, parentheses included.
+spaces.  The syntax tree preserves the source shape, parentheses
+included.
+
+A subexpression without the derivation evaluates to a function, with
+polynomial arithmetic: the product rule of operators of order zero is
+the polynomial product.  Above a ``d`` leaf the product rule moves
+coefficients left of the derivation powers.  A power over the limits
+below raises ``ConfigError`` before it is built.
 """
 
 from __future__ import annotations
@@ -23,16 +28,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    ConfigError,
     MixedVariables,
     NegativePowerOutsideMicroMode,
     ParseError,
 )
 from .micro import MicroOp
-from .scalars import PAdicScalar
 from .tatepoly import TatePoly
 from .weyl import DiffOp
 
 VARIABLES = ("x", "t", "u")
+
+# Limits of a power b^n, checked before it is built: |n| <= MAX_EXPONENT,
+# deg(b) * n <= MAX_DEGREE and k * n <= MAX_BITS, where k is the bit size
+# of b's largest numerator plus that of its common denominator.  The odd-p
+# valuation of p^n divides once per factor of p, so its cost grows with n
+# times the size of p^n, which MAX_BITS bounds; at p = 2 it is a
+# trailing-zero count and p^n a shift, and there |n| <= MAX_SHIFT only
+# bounds the integer (12.5 MB).
+MAX_EXPONENT = 10_000
+MAX_DEGREE = 10_000
+MAX_BITS = 20_000
+MAX_SHIFT = 10**8
 
 
 # syntax tree
@@ -78,6 +95,9 @@ class Neg(_Node):
 @dataclass(frozen=True)
 class Paren(_Node):
     inner: object
+
+
+_D, _P = Symbol("d"), Symbol("p")
 
 
 # lexer
@@ -196,12 +216,12 @@ class _Parser:
         negative = False
         kind, value, at = self.peek()
         if kind == _TOK_OP and value == "-":
-            if base == Symbol("d"):
+            if base == _D:
                 if not self.micro:
                     raise NegativePowerOutsideMicroMode(
                         "inverse powers of d need the Laurent ring"
                     )
-            elif base != Symbol("p"):
+            elif base != _P:
                 raise ParseError("negative exponent only on d or p", at)
             negative = True
             self.advance()
@@ -333,33 +353,22 @@ def strip_parens(node):
 
 
 class _Normalizer:
+    """Bottom-up evaluation: a subtree without the derivation stays a
+    TatePoly, and a MicroOp appears only at a ``d`` leaf."""
+
     def __init__(self, p: int, default_var: str):
         self.p = p
         self.var: str | None = None
         self.default_var = default_var
 
-    def _constant(self, value) -> MicroOp:
-        var = self.var or self.default_var
-        return MicroOp({0: PAdicScalar(value, self.p)}, self.p, var)
+    def _constant(self, value) -> TatePoly:
+        return TatePoly((value,), self.p, self.var or self.default_var)
 
-    def eval(self, node) -> MicroOp:
-        p = self.p
+    def eval(self, node):
         if isinstance(node, Rational):
             return self._constant(Fraction(node.numerator, node.denominator))
         if isinstance(node, Symbol):
-            if node.name == "d":
-                return MicroOp.d_power(1, p, self.var or self.default_var)
-            if node.name == "p":
-                return self._constant(p)
-            if node.name in VARIABLES:
-                if self.var is None:
-                    self.var = node.name
-                elif self.var != node.name:
-                    raise MixedVariables(
-                        f"expression mixes {self.var!r} and {node.name!r}"
-                    )
-                return MicroOp.from_poly(TatePoly.variable(p, node.name))
-            raise ParseError(f"unknown symbol {node.name!r}", 0)
+            return self._power(node, 1)
         if isinstance(node, Paren):
             return self.eval(node.inner)
         if isinstance(node, Neg):
@@ -375,23 +384,52 @@ class _Normalizer:
                 out = out * self.eval(factor)
             return out
         if isinstance(node, Power):
-            if node.exponent < 0:
-                if node.base == Symbol("d"):
-                    return MicroOp.d_power(
-                        node.exponent, p, self.var or self.default_var
-                    )
-                if node.base == Symbol("p"):
-                    return self._constant(Fraction(p) ** node.exponent)
-                raise NegativePowerOutsideMicroMode(
-                    "negative exponent only on d or p"
-                )
-            return self.eval(node.base) ** node.exponent
+            return self._power(node.base, node.exponent)
         raise TypeError(f"not a syntax tree node: {node!r}")
+
+    def _power(self, base, n: int):
+        p = self.p
+        if base == _P:
+            limit = MAX_SHIFT if p == 2 else MAX_BITS // p.bit_length()
+            if abs(n) > limit:
+                raise ConfigError(f"exponent {n} of p is over the limit {limit}")
+            return self._constant(Fraction(p) ** n)
+        if abs(n) > MAX_EXPONENT:
+            raise ConfigError(f"exponent {n} is over the limit {MAX_EXPONENT}")
+        if base == _D:
+            return MicroOp.d_power(n, p, self.var or self.default_var)
+        if n < 0:
+            raise NegativePowerOutsideMicroMode("negative exponent only on d or p")
+        if isinstance(base, Symbol):
+            if base.name not in VARIABLES:
+                raise ParseError(f"unknown symbol {base.name!r}", 0)
+            if self.var is None:
+                self.var = base.name
+            elif self.var != base.name:
+                raise MixedVariables(f"expression mixes {self.var!r} and {base.name!r}")
+            # the monomial: degree n <= MAX_DEGREE and size 2n <= MAX_BITS
+            return TatePoly([0] * n + [1], p, base.name)
+        value = self.eval(base)
+        coeffs = [value] if isinstance(value, TatePoly) else value.coeffs.values()
+        degree = max((c.degree() for c in coeffs), default=0)
+        bits = max(
+            (max(map(abs, c.num)).bit_length() + c.den.bit_length() for c in coeffs if c.num),
+            default=0,
+        )
+        if degree * n > MAX_DEGREE or bits * n > MAX_BITS:
+            raise ConfigError(
+                f"power {n} of a base of degree {degree} and {bits} bits is over the limits"
+            )
+        return value**n
 
 
 def to_micro_op(node, p: int, default_var: str = "x") -> MicroOp:
-    """Evaluate a syntax tree in the Laurent operator ring."""
-    return _Normalizer(p, default_var).eval(node)
+    """Evaluate a syntax tree in the Laurent operator ring; an expression
+    without the derivation gives an operator of order zero."""
+    value = _Normalizer(p, default_var).eval(node)
+    if isinstance(value, TatePoly):
+        return MicroOp.from_poly(value)
+    return value
 
 
 def to_diff_op(node, p: int, default_var: str = "x") -> DiffOp:

@@ -4,8 +4,9 @@ Oracles here deliberately avoid the code paths they check: operator
 products are validated through the action on functions and against the
 per-term Leibniz product below, factorizations through exhaustive trial
 division over the residue field, translation through the object Horner
-rule below, and the integer-vector polynomial core through the plain
-Fraction arithmetic below.
+rule below, the integer-vector polynomial core through the plain
+Fraction arithmetic below, and the expression evaluator through the
+all-operator evaluator below, which it replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +15,17 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct, zip_longest
 
-from padicdx import DiffOp, MicroOp, PAdicScalar, ResiduePoly, TatePoly
+from padicdx import (
+    DiffOp,
+    MicroOp,
+    MixedVariables,
+    NegativePowerOutsideMicroMode,
+    PAdicScalar,
+    ParseError,
+    ResiduePoly,
+    TatePoly,
+)
+from padicdx.opparse import VARIABLES, Neg, Paren, Power, Product, Rational, Sum, Symbol
 
 
 def rand_scalar(rng, p, val_range=(-3, 3), zero_ok=True):
@@ -303,3 +314,70 @@ def leibniz_oracle(left: dict, right: dict, p: int, var: str) -> dict:
                 der = der.derivative()
                 j += 1
     return {n: c for n, c in out.items() if not c.is_zero()}
+
+
+class _OldNormalizer:
+    """The expression evaluator as it was before it kept d-free subtrees
+    as functions: every leaf is a MicroOp and every product a Leibniz
+    product."""
+
+    def __init__(self, p: int, default_var: str):
+        self.p = p
+        self.var: str | None = None
+        self.default_var = default_var
+
+    def _constant(self, value) -> MicroOp:
+        var = self.var or self.default_var
+        return MicroOp({0: PAdicScalar(value, self.p)}, self.p, var)
+
+    def eval(self, node) -> MicroOp:
+        p = self.p
+        if isinstance(node, Rational):
+            return self._constant(Fraction(node.numerator, node.denominator))
+        if isinstance(node, Symbol):
+            if node.name == "d":
+                return MicroOp.d_power(1, p, self.var or self.default_var)
+            if node.name == "p":
+                return self._constant(p)
+            if node.name in VARIABLES:
+                if self.var is None:
+                    self.var = node.name
+                elif self.var != node.name:
+                    raise MixedVariables(
+                        f"expression mixes {self.var!r} and {node.name!r}"
+                    )
+                return MicroOp.from_poly(TatePoly.variable(p, node.name))
+            raise ParseError(f"unknown symbol {node.name!r}", 0)
+        if isinstance(node, Paren):
+            return self.eval(node.inner)
+        if isinstance(node, Neg):
+            return -self.eval(node.operand)
+        if isinstance(node, Sum):
+            out = self.eval(node.terms[0])
+            for term in node.terms[1:]:
+                out = out + self.eval(term)
+            return out
+        if isinstance(node, Product):
+            out = self.eval(node.factors[0])
+            for factor in node.factors[1:]:
+                out = out * self.eval(factor)
+            return out
+        if isinstance(node, Power):
+            if node.exponent < 0:
+                if node.base == Symbol("d"):
+                    return MicroOp.d_power(
+                        node.exponent, p, self.var or self.default_var
+                    )
+                if node.base == Symbol("p"):
+                    return self._constant(Fraction(p) ** node.exponent)
+                raise NegativePowerOutsideMicroMode(
+                    "negative exponent only on d or p"
+                )
+            return self.eval(node.base) ** node.exponent
+        raise TypeError(f"not a syntax tree node: {node!r}")
+
+
+def old_to_micro_op(node, p: int, default_var: str = "x") -> MicroOp:
+    """Oracle for ``opparse.to_micro_op``: the same tree evaluated with
+    operator arithmetic only."""
+    return _OldNormalizer(p, default_var).eval(node)

@@ -1,0 +1,114 @@
+"""Record a BENCH_<n>.json: the end-to-end benchmark of two revisions.
+
+    python3 tools/bench_record.py --parent HEAD~1 --out BENCH_11.json
+    python3 tools/bench_record.py --parent HEAD~1 --workloads cli --pairs 10 --out cli.json
+
+Both revisions are exported with ``git archive`` into fresh directories,
+and ``perfbench/run.py --trace 0`` runs there for each workload, in
+alternating pairs (odd pairs parent first) so that the phases of a noisy
+host fall on both sides.  For each workload and side the file holds the
+median and quartiles over the runs of the seven end-to-end metrics, every
+run's values, and how many pairs the change won on each metric; at the
+top, the revisions, the Python version, ``nproc`` and the ``src/*.py``
+line count of each side.  An existing ``--out`` file of the same two
+revisions keeps the workloads this run does not measure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("products", "inversion", "cycles", "cli")
+# the end-to-end metrics, +1 where higher is better and -1 where lower is
+BETTER = {
+    "setup_s": -1, "ops_per_s": 1, "latency_p50_ms": -1, "latency_p90_ms": -1,
+    "hard_case_s": -1, "peak_rss_mb": -1, "spawn_ms": -1,
+}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str, into: Path) -> Path:
+    into.mkdir()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def src_lines(checkout: Path) -> int:
+    return sum(len(f.read_text().splitlines()) for f in (checkout / "src").rglob("*.py"))
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "failed": result["failed"],
+            **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def summary(runs: list) -> dict:
+    out = {"correct": all(r["correct"] for r in runs), "failed": sum(r["failed"] for r in runs)}
+    for metric in BETTER:
+        values = [r[metric] for r in runs]
+        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        out[metric] = {"median": median, "q1": q1, "q3": q3, "runs": values}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="the revision to compare against")
+    ap.add_argument("--change", default="HEAD", help="the revision measured (default HEAD)")
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+
+    revs = {side: git("rev-parse", rev) for side, rev in
+            (("parent", args.parent), ("change", args.change))}
+    doc = {"sha": revs["change"], "parent_sha": revs["parent"],
+           "python": sys.version.split()[0], "nproc": os.cpu_count(),
+           "seed": args.seed, "seconds": args.seconds,
+           "command": "perfbench/run.py --trace 0", "workloads": {}}
+    out = Path(args.out)
+    if out.exists():
+        old = json.loads(out.read_text())
+        if (old["sha"], old["parent_sha"]) == (doc["sha"], doc["parent_sha"]):
+            doc["workloads"] = old["workloads"]
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
+        doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        for workload in args.workloads:
+            runs = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    runs[side].append(run_once(trees[side], workload, args.seed, args.seconds))
+                    print(workload, i, side, runs[side][-1], file=sys.stderr, flush=True)
+            wins = {m: sum((c[m] - p[m]) * sign > 0
+                           for p, c in zip(runs["parent"], runs["change"]))
+                    for m, sign in BETTER.items()}
+            doc["workloads"][workload] = {
+                "pairs": args.pairs, "parent": summary(runs["parent"]),
+                "change": summary(runs["change"]), "change_wins": wins}
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
