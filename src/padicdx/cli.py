@@ -46,6 +46,9 @@ from .weyl import ConnectionMatrix, commutator, connection_level
 
 ENV_PRIME = "PADICDX_DEFAULT_PRIME"
 PRIME_LIMIT = 2**64  # is_prime is exact far beyond this
+# largest |eps|: the inversion series has about |eps| terms for a tail of
+# norm p^-1, and its time grows about as their square (0.2 s at 2000)
+MAX_EPS = 2000
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,10 @@ class SessionConfig:
             )
         if self.eps_exp >= 0:
             raise ConfigError("precision exponent must be negative")
+        if self.eps_exp < -MAX_EPS:
+            raise ConfigError(
+                f"precision exponent must be at least -{MAX_EPS}, got {self.eps_exp}"
+            )
 
 
 _BLOWUP_RE = re.compile(

@@ -41,7 +41,7 @@ from .errors import (
     ZeroOperator,
 )
 from .residue import ResiduePoly
-from .scalars import NEG_INF, NormExp, PAdicScalar
+from .scalars import NormExp, PAdicScalar
 from .tatepoly import TatePoly, _as_exp
 from .weyl import DiffOp, _Operator, leibniz_product, weight
 
@@ -88,10 +88,7 @@ class MicroOp(_Operator):
     def norm(self, k: int, r: int) -> NormExp:
         """The (k, r) norm on the exponent scale."""
         _check_levels(k, r)
-        return max(
-            (c.gauss_norm() + weight(n, k, r) for n, c in self.coeffs.items()),
-            default=NEG_INF,
-        )
+        return NormExp(self._norm_exp(k, r))
 
     def canonical_form(self, k: int, r: int) -> list[tuple[int, TatePoly]]:
         """Coefficients in the basis scaled by level k above and level r
@@ -200,7 +197,7 @@ def micro_unit_verdict(S: MicroOp, k: int, r: int):
     _check_levels(k, r)
     if S.is_zero():
         raise ZeroOperator("zero element of the Laurent ring")
-    exps = {n: c.gauss_norm() + k * n for n, c in S.coeffs.items()}
+    exps = {n: c._gauss_exp() + k * n for n, c in S.coeffs.items()}
     top = max(exps.values())
     candidates = [n for n, e in exps.items() if e == top]
     if len(candidates) != 1:
@@ -273,14 +270,14 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     p, var = S.p, S.var
     tail = MicroOp({n: c for n, c in S.coeffs.items() if n != q}, p, var)
     d_inv = MicroOp.d_power(-q, p, var)
-    norm_s = S.norm(k, r).exp
+    norm_s = S._norm_exp(k, r)
     g = MicroOp.from_poly(S.coeffs[q].invert_on_disc(eps_exp)[0])
     outer = eps_exp - max(0, norm_s)
     minus_r = -_short(tail, _short(d_inv, g, k, r, outer), k, r, eps_exp)
     # R contracts, so its exponent is at most -1; the smallest L with
     # (L+1)*exp < eps bounds the series
-    rnorm = minus_r.norm(k, r)
-    terms = 0 if rnorm.is_neg_inf() else max(0, eps_exp // rnorm.exp)
+    rnorm = minus_r._norm_exp(k, r)
+    terms = 0 if rnorm is None else max(0, eps_exp // rnorm)
     acc = power = MicroOp.one(p, var)
     for _ in range(terms):
         power = _short(power, minus_r, k, r, eps_exp)
@@ -313,12 +310,12 @@ def finite_order_verdict(P: DiffOp, r: int):
         raise ZeroOperator("zero operator")
     d = P.degree()
     lead = P.coefficient(d)
-    e_top = lead.gauss_norm().exp
+    e_top = lead._gauss_exp()
     rmin = 1
     for n, c in P.coeffs.items():
         if n == d:
             continue
-        gap = c.gauss_norm().exp - e_top
+        gap = c._gauss_exp() - e_top
         # least integer level rr with gap < rr * (d - n)
         rr = gap // (d - n) + 1
         rmin = max(rmin, rr)

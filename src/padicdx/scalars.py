@@ -6,7 +6,9 @@ logarithmic scale: a nonzero scalar of valuation v has normalized absolute
 value p**(-v), stored as the integer exponent -v inside :class:`NormExp`.
 Norm zero is the bottom element ``NormExp.NEG_INF``.  Keeping exponents
 integral turns every ultrametric inequality into an exact integer
-comparison; no floating point is used anywhere.
+comparison; no floating point is used anywhere.  Kernel code carries the
+exponents as plain ints (``TatePoly._gauss_exp``) and builds a
+:class:`NormExp` only for a value it returns at the public boundary.
 """
 
 from __future__ import annotations

@@ -206,7 +206,12 @@ class TatePoly(_DensePoly):
         """Spectral norm: the maximum of the coefficient norms."""
         if not self.num:
             return NEG_INF
-        return NormExp(_val(self.den, self.p) - _val(gcd(*self.num), self.p))
+        return NormExp(self._gauss_exp())
+
+    def _gauss_exp(self) -> int:
+        """The Gauss norm exponent as a plain int.  Only for a nonzero
+        polynomial: the gcd of no numerators is 0, which has no valuation."""
+        return _val(self.den, self.p) - _val(gcd(*self.num), self.p)
 
     def normalize(self) -> tuple["TatePoly", int]:
         """Split off the power of the uniformizer reaching Gauss norm one.
@@ -216,12 +221,12 @@ class TatePoly(_DensePoly):
         """
         if self.is_zero():
             raise ZeroInput("cannot normalize the zero polynomial")
-        v = -self.gauss_norm().exp
+        v = -self._gauss_exp()
         return self.scale(Fraction(self.p) ** -v), v
 
     def reduce(self) -> ResiduePoly:
         """Coefficientwise reduction; requires Gauss norm at most one."""
-        if self.gauss_norm() > NormExp(0):
+        if self.num and self._gauss_exp() > 0:
             raise NormTooLarge(f"Gauss norm of {self} exceeds one")
         # in canonical form an integral polynomial has den prime to p
         inv = pow(self.den, -1, self.p)
@@ -251,7 +256,7 @@ class TatePoly(_DensePoly):
         tail = scaled - TatePoly.one(self.p, self.var)
         if tail.is_zero():
             return TatePoly.constant(c0_inv, self.p, self.var), NEG_INF
-        tail_exp = tail.gauss_norm().exp
+        tail_exp = tail._gauss_exp()
         acc = TatePoly.one(self.p, self.var)
         power = TatePoly.one(self.p, self.var)
         bound = tail_exp

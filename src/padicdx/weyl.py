@@ -25,7 +25,7 @@ from itertools import zip_longest
 
 from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
 from .residue import _format_terms
-from .scalars import NEG_INF, NormExp, PAdicScalar, _Ring
+from .scalars import NormExp, PAdicScalar, _Ring
 from .tatepoly import TatePoly, _canon, _keep_above
 
 
@@ -82,11 +82,12 @@ def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> di
         if not left or not right:
             return {}
         k, r, cutoff = floor
-        top = max(b.gauss_norm() for b in left.values()) + max(
-            c.gauss_norm() for c in right.values()
+        # operators store no zero coefficient
+        top = max(b._gauss_exp() for b in left.values()) + max(
+            c._gauss_exp() for c in right.values()
         )
         # the least power n with top + weight(n, k, r) >= cutoff
-        need = cutoff - top.exp
+        need = cutoff - top
         lowest = -(-need // (k if need > 0 else r))
     out: dict[int, list] = {}
     for m, b in left.items():
@@ -179,6 +180,15 @@ class _Operator(_Ring):
     def _require_finite(self):
         if not self.finite:
             raise TruncatedOperand("operation undefined on a truncated operator")
+
+    def _norm_exp(self, k: int, r: int):
+        """The (k, r) norm exponent as a plain int; None, the exponent of
+        the bottom element, for the zero operator.  No coefficient stored
+        is zero."""
+        return max(
+            (c._gauss_exp() + weight(n, k, r) for n, c in self.coeffs.items()),
+            default=None,
+        )
 
     # arithmetic
 
@@ -326,16 +336,16 @@ class DiffOp(_Operator):
         """Level-k norm on the exponent scale."""
         if k < 0:
             raise ValueError("congruence level must be nonnegative")
-        return max(
-            (c.gauss_norm() + k * n for n, c in self.coeffs.items()), default=NEG_INF
-        )
+        return NormExp(self._norm_exp(k, k))
 
     def order(self, k: int) -> int:
         """Largest power of the derivation attaining the level-k norm."""
         if not self.coeffs:
             raise ZeroOperator("zero operator has no order")
-        target = self.norm(k)
-        return max(n for n, c in self.coeffs.items() if c.gauss_norm() + k * n == target)
+        if k < 0:
+            raise ValueError("congruence level must be nonnegative")
+        # the greatest (exponent, power) pair: the norm, then the largest power
+        return max((c._gauss_exp() + k * n, n) for n, c in self.coeffs.items())[1]
 
     def apply(self, f: TatePoly) -> TatePoly:
         """Natural action on a function."""
@@ -391,8 +401,8 @@ class ConnectionMatrix:
         raise AttributeError("ConnectionMatrix is immutable")
 
     def sup_norm(self) -> NormExp:
-        return max(
-            (e.gauss_norm() for row in self.entries for e in row), default=NEG_INF
+        return NormExp(
+            max((f._gauss_exp() for row in self.entries for f in row if f.num), default=None)
         )
 
     def derivative(self) -> "ConnectionMatrix":

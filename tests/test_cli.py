@@ -372,3 +372,23 @@ def test_huge_uniformizer_power_answers_quickly(capsys):
     assert time.perf_counter() - start < 10.0
     assert code == 0
     assert doc["norm_exp"] == 100000001
+
+
+def test_precision_limit_is_a_config_error_before_any_work(capsys):
+    # the series of d + d^-1 has about |eps| terms; at eps -10^6 it never ended
+    start = time.perf_counter()
+    code, doc = run(capsys, "micro-invert", "-p", "2", "--eps", "-1000000", "d + d^-1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert doc["error"] == {
+        "type": "ConfigError",
+        "message": "precision exponent must be at least -2000, got -1000000",
+    }
+    code, doc = run(capsys, "norm", "-p", "2", "--eps", "-2001", "d")
+    assert code == 1 and doc["error"]["type"] == "ConfigError"
+    # the limit itself is accepted and certified
+    code, doc = run(capsys, "micro-invert", "-p", "2", "--eps", "-2000", "d + d^-1")
+    assert code == 0
+    assert doc["eps_exp"] == -2000 and doc["residual_exp"] < -2000
+    with pytest.raises(ConfigError):
+        SessionConfig(2, 2, 1, -2001)

@@ -12,6 +12,13 @@ run's values, and how many pairs the change won on each metric; at the
 top, the revisions, the Python version, ``nproc`` and the ``src/*.py``
 line count of each side.  An existing ``--out`` file of the same two
 revisions keeps the workloads this run does not measure.
+
+The file also holds the hard-case ladder, ``hard_ladder``: the inversion
+workload's hard operator (``HARD_INVERT`` through ``hard_invert_operator``
+of each checkout's ``perfbench/workloads.py``, at p = 2, k = 2, r = 1)
+inverted at eps -24, -36 and -48, once per revision and rung, each in a
+fresh process capped at 60 s.  A rung is the seconds ``micro_invert``
+took, or ``"timeout"`` when the process hit the cap.
 """
 
 from __future__ import annotations
@@ -32,6 +39,18 @@ BETTER = {
     "setup_s": -1, "ops_per_s": 1, "latency_p50_ms": -1, "latency_p90_ms": -1,
     "hard_case_s": -1, "peak_rss_mb": -1, "spawn_ms": -1,
 }
+LADDER = (-24, -36, -48)  # eps of the hard-case rungs
+LADDER_CAP_S = 60
+# one rung, run from the root of a checkout with eps as its argument
+RUNG = """import sys, time
+sys.path[:0] = ["src", "perfbench"]
+from workloads import hard_invert_operator
+from padicdx import micro_invert
+S = hard_invert_operator()
+start = time.perf_counter()
+micro_invert(S, 2, 1, int(sys.argv[1]))
+print(time.perf_counter() - start)
+"""
 
 
 def git(*args: str) -> str:
@@ -58,6 +77,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], "failed": result["failed"],
             **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def rung(checkout: Path, eps: int):
+    try:
+        proc = subprocess.run([sys.executable, "-c", RUNG, str(eps)], cwd=checkout,
+                              capture_output=True, text=True, timeout=LADDER_CAP_S, check=True)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return float(proc.stdout)
 
 
 def summary(runs: list) -> dict:
@@ -94,6 +122,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        ladder = {"p": 2, "k": 2, "r": 1, "cap_s": LADDER_CAP_S, "parent": {}, "change": {}}
+        for eps in LADDER:
+            for side in ("parent", "change"):
+                ladder[side][str(eps)] = rung(trees[side], eps)
+                print("ladder", eps, side, ladder[side][str(eps)], file=sys.stderr, flush=True)
+        doc["hard_ladder"] = ladder
         for workload in args.workloads:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
