@@ -157,7 +157,7 @@ def _chart_points(P: DiffOp, B: BlowupModel, base_factors) -> list[tuple[ChartPo
     pulled = pull_function_u1(lead, B)
     normalized, _ = pulled.normalize()
     for q, mult in normalized.reduce().factor():
-        out.append((ChartPoint(Chart.U1, ClosedPoint(q, Chart.U1.value)), mult))
+        out.append((ChartPoint(Chart.U1, ClosedPoint._factor_of(q, Chart.U1.value)), mult))
 
     # strict transform away from the center
     center_red = B.center.reduce_mod_pi().value
@@ -166,7 +166,8 @@ def _chart_points(P: DiffOp, B: BlowupModel, base_factors) -> list[tuple[ChartPo
         if q == center_poly:
             continue
         shifted = q.translate(center_red).with_var(U2_VAR)
-        out.append((ChartPoint(Chart.U2, ClosedPoint(shifted, Chart.U2.value)), mult))
+        point = ClosedPoint._factor_of(shifted, Chart.U2.value)
+        out.append((ChartPoint(Chart.U2, point), mult))
 
     # crossing point: roots strictly between the chart radii
     recentered = lead.compose_linear(B.center, PAdicScalar.one(p), lead.var)

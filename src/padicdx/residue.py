@@ -196,8 +196,18 @@ def _is_irreducible(f, p: int) -> bool:
 
 def _factor(f, p: int) -> list[tuple[tuple, int]]:
     """Monic irreducible factors of a monic f with multiplicities, sorted
-    by (degree, coefficients).  The factors of f / gcd(f, f') are divided
-    out of f; what is left is a p-th power, and its root counts p times."""
+    by (degree, coefficients).
+
+    Write f = prod q^e and g = gcd(f, f').  Then f = (f / g) * g exactly:
+    f / g is the product of the q with p not dividing e, each once, and g
+    holds every such q e - 1 times and every q with p | e wholly.  So the
+    multiplicity of a factor of f / g is one plus the times it divides g,
+    and what is left of g is a p-th power, whose root counts p times.
+
+    Every factor comes out of distinct- and equal-degree splitting, which
+    returns irreducibles by construction (von zur Gathen and Gerhard, ch.
+    14), and the sympy and brute-force tests check that output; so
+    :meth:`ClosedPoint._factor_of` wraps a factor without Rabin's test."""
     rng = random.Random(_EDF_SEED)
     out, scale = [], 1
     while len(f) > 1:
@@ -205,9 +215,10 @@ def _factor(f, p: int) -> list[tuple[tuple, int]]:
         if not d:
             f, scale = _pth_root(f, p), scale * p
             continue
-        squarefree = _divmod(f, _gcd(f, d, p), p)[0]
+        g = _gcd(f, d, p)
+        squarefree, f = _divmod(f, g, p)[0], g
         for q in _factor_squarefree(squarefree, p, rng):
-            mult, (quo, rem) = 0, _divmod(f, q, p)
+            mult, (quo, rem) = 1, _divmod(f, q, p)
             while not rem:
                 f, mult = quo, mult + 1
                 quo, rem = _divmod(f, q, p)
@@ -481,6 +492,12 @@ class ClosedPoint:
     Identified by its monic irreducible minimal polynomial over the
     residue field, together with the tag of the chart whose coordinate the
     polynomial is written in.
+
+    The public constructor checks its polynomial: it raises ``ValueError``
+    for a constant and, by Rabin's test, for a reducible one.  The private
+    :meth:`_factor_of` checks nothing; it wraps a factor that
+    ``ResiduePoly.factor`` returned, or a translate of one, which is
+    irreducible by construction (see ``_factor``).
     """
 
     minimal_poly: ResiduePoly
@@ -491,6 +508,15 @@ class ClosedPoint:
             raise ValueError("closed point needs a polynomial of degree >= 1")
         if not self.minimal_poly.is_irreducible():
             raise ValueError(f"{self.minimal_poly} is not irreducible")
+
+    @classmethod
+    def _factor_of(cls, q: ResiduePoly, chart: str) -> "ClosedPoint":
+        """The point of a factor from ``ResiduePoly.factor`` or of its
+        translate, built without ``__post_init__``'s checks."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "minimal_poly", q)
+        object.__setattr__(pt, "chart", chart)
+        return pt
 
     @property
     def degree(self) -> int:
@@ -513,4 +539,4 @@ def factor_reduction(g: ResiduePoly) -> list[tuple[ClosedPoint, int]]:
     """
     if g.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
-    return [(ClosedPoint(q, g.var), mult) for q, mult in g.factor()]
+    return [(ClosedPoint._factor_of(q, g.var), mult) for q, mult in g.factor()]

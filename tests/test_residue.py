@@ -95,6 +95,27 @@ def test_factor_with_pth_power_multiplicities():
     assert f.factor() == [(P([0, 1]), 1), (P([1, 1]), 4)]
 
 
+# an irreducible quadratic over each prime field
+QUADRATIC = {2: [1, 1, 1], 3: [1, 0, 1], 5: [2, 0, 1]}
+
+
+@pytest.mark.parametrize("p", sorted(QUADRATIC))
+def test_factor_mixes_multiplicities_p_divides_and_not(p):
+    # (x + 1)^p (x + 2)^(p + 1) q^(2p): in gcd(f, f') the factors x + 1
+    # and q sit wholly, x + 2 loses one power
+    lin1, lin2, q = P([1, 1], p), P([2, 1], p), P(QUADRATIC[p], p)
+    assert q.is_irreducible()
+    f = lin1**p * lin2 ** (p + 1) * q ** (2 * p)
+    want = [(lin1, p), (lin2, p + 1), (q, 2 * p)]
+    want.sort(key=lambda qm: (qm[0].degree(), qm[0].coeffs))
+    got = (f * (p - 1)).factor()  # a unit times f factors like f
+    assert got == want
+    prod = ResiduePoly.one(p)
+    for factor, m in got:
+        prod = prod * factor**m
+    assert prod == f
+
+
 def test_translate():
     f = P([0, 0, 1], p=3)  # x^2
     g = f.translate(1)  # (x + 1)^2

@@ -16,9 +16,12 @@ revisions keeps the workloads this run does not measure.
 The file also holds the hard-case ladder, ``hard_ladder``: the inversion
 workload's hard operator (``HARD_INVERT`` through ``hard_invert_operator``
 of each checkout's ``perfbench/workloads.py``, at p = 2, k = 2, r = 1)
-inverted at eps -24, -36 and -48, once per revision and rung, each in a
-fresh process capped at 60 s.  A rung is the seconds ``micro_invert``
-took, or ``"timeout"`` when the process hit the cap.
+inverted at eps -24, -36 and -48, three times per revision and rung in
+alternating order, each in a fresh process capped at 60 s.  A run is the
+seconds ``micro_invert`` took, or ``"timeout"`` when the process hit the
+cap; each rung records every run and their median, a timeout counting as
+slower than any time.  Single runs of the -48 rung took 12.8 and 16.6 s
+on one tree, too wide a spread to show a gain below about 25%.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ BETTER = {
 }
 LADDER = (-24, -36, -48)  # eps of the hard-case rungs
 LADDER_CAP_S = 60
+LADDER_REPEATS = 3
 # one rung, run from the root of a checkout with eps as its argument
 RUNG = """import sys, time
 sys.path[:0] = ["src", "perfbench"]
@@ -88,6 +92,16 @@ def rung(checkout: Path, eps: int):
     return float(proc.stdout)
 
 
+def sides(i: int) -> tuple:
+    """The order of the i-th pair of runs: parent first when i is even."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def ladder_median(runs: list):
+    """The middle of an odd number of runs, ``"timeout"`` above any time."""
+    return sorted(runs, key=lambda s: float("inf") if s == "timeout" else s)[len(runs) // 2]
+
+
 def summary(runs: list) -> dict:
     out = {"correct": all(r["correct"] for r in runs), "failed": sum(r["failed"] for r in runs)}
     for metric in BETTER:
@@ -122,16 +136,21 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
-        ladder = {"p": 2, "k": 2, "r": 1, "cap_s": LADDER_CAP_S, "parent": {}, "change": {}}
+        ladder = {"p": 2, "k": 2, "r": 1, "cap_s": LADDER_CAP_S, "repeats": LADDER_REPEATS,
+                  "parent": {}, "change": {}}
         for eps in LADDER:
-            for side in ("parent", "change"):
-                ladder[side][str(eps)] = rung(trees[side], eps)
-                print("ladder", eps, side, ladder[side][str(eps)], file=sys.stderr, flush=True)
+            runs = {"parent": [], "change": []}
+            for i in range(LADDER_REPEATS):
+                for side in sides(i):
+                    runs[side].append(rung(trees[side], eps))
+                    print("ladder", eps, side, runs[side][-1], file=sys.stderr, flush=True)
+            for side, values in runs.items():
+                ladder[side][str(eps)] = {"median": ladder_median(values), "runs": values}
         doc["hard_ladder"] = ladder
         for workload in args.workloads:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
-                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                for side in sides(i):
                     runs[side].append(run_once(trees[side], workload, args.seed, args.seconds))
                     print(workload, i, side, runs[side][-1], file=sys.stderr, flush=True)
             wins = {m: sum((c[m] - p[m]) * sign > 0
