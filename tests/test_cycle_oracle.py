@@ -39,7 +39,7 @@ PRIMES = [2, 3, 5, 7]
 
 
 @st.composite
-def fractions(draw, p):
+def rationals(draw, p):
     num = draw(st.integers(-30, 30))
     return Fraction(num, draw(st.integers(1, 30))) * Fraction(p) ** draw(st.integers(-2, 2))
 
@@ -51,17 +51,16 @@ def operators(draw):
     times a random polynomial) and a blow-up over the same prime."""
     p = draw(st.sampled_from(PRIMES))
     x = TatePoly.variable(p)
-    lead = TatePoly.constant(draw(fractions(p).filter(bool)), p)
+    lead = TatePoly.constant(draw(rationals(p).filter(bool)), p)
     for _ in range(draw(st.integers(0, 3))):
-        root = draw(st.integers(0, p - 1)) + Fraction(p) ** draw(st.integers(0, 3)) * draw(
-            st.integers(1, 2 * p)
-        )
+        offset = Fraction(p) ** draw(st.integers(0, 3)) * draw(st.integers(1, 2 * p))
+        root = draw(st.integers(0, p - 1)) + offset
         lead = lead * (x - root) ** draw(st.integers(1, p + 1))
-    extra = TatePoly(draw(st.lists(fractions(p), max_size=3)), p)
+    extra = TatePoly(draw(st.lists(rationals(p), max_size=3)), p)
     if not extra.is_zero():
         lead = lead * extra
     order = draw(st.integers(0, 2))
-    coeffs = {n: TatePoly(draw(st.lists(fractions(p), max_size=3)), p) for n in range(order)}
+    coeffs = {n: TatePoly(draw(st.lists(rationals(p), max_size=3)), p) for n in range(order)}
     coeffs[order] = lead
     center = PAdicScalar(draw(st.integers(0, p * p - 1)), p)
     return DiffOp(coeffs, p), BlowupModel(center, draw(st.integers(1, 3)))
