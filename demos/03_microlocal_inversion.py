@@ -2,8 +2,9 @@
 
 Negative powers of the derivation act on functions through a finite
 alternating expansion, so products stay exact; the only truncated
-computation is the geometric-series inverse, which returns its residual
-norm exactly.
+computation is the geometric-series inverse.  Its coefficients are
+rounded to the precision the target needs, and it returns its residual
+norm recomputed exactly.
 Run with: python demos/03_microlocal_inversion.py
 """
 

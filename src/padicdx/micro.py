@@ -23,9 +23,15 @@ the left, as a function, and walks no derivative chain.  Each product on
 the way is a short product: ``leibniz_product`` with a floor computes only
 the powers of the derivation that can reach the cutoff and returns exactly
 what :meth:`MicroOp.truncate_below` would keep of the full product.  The
-cutoffs are derived so that one pass reaches the target: the inverse is
-cut at eps - max(0, |S|), and its residual |S*T - 1| is recomputed from
-the exact, untruncated product; a miss raises ``PrecisionNotReached``.
+inversion then rounds each kept coefficient to its cutoff (``_short``):
+it keeps a denominator that is a power of p and a numerator of about as
+many p-adic digits as the cutoff needs, changes no monomial's norm, and
+moves the product by less than the cutoff.  This is the capped-precision
+model of Caruso, Roe and Vaccon, "Tracking p-adic precision" (2014);
+exact series coefficients would grow to hundreds of bits.  The cutoffs
+are derived so that one pass reaches the target: the inverse is cut at
+eps - max(0, |S|), and its residual |S*T - 1| is recomputed from the
+exact, unrounded product S*T; a miss raises ``PrecisionNotReached``.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ from .errors import (
 )
 from .residue import ResiduePoly
 from .scalars import NormExp, PAdicScalar
-from .tatepoly import TatePoly, _as_exp
+from .scalars import _fraction_valuation as _val
+from .tatepoly import TatePoly, _as_exp, _make
 from .weyl import DiffOp, _Operator, leibniz_product, weight
 
 
@@ -221,9 +228,35 @@ def micro_unit_verdict(S: MicroOp, k: int, r: int):
 
 
 def _short(left: MicroOp, right: MicroOp, k: int, r: int, cutoff: int) -> MicroOp:
-    """left * right truncated below the cutoff, by the short product."""
+    """left * right truncated below the cutoff and rounded to it.
+
+    The short product keeps, at power n, the monomials of norm at least
+    p^c with c = cutoff - weight(n, k, r).  Each kept a/den, with
+    v = v_p(den), becomes A/p^v for the balanced residue
+    -p^(keep+1)/2 < A <= p^(keep+1)/2 of a*(den/p^v)^-1 modulo
+    p^(keep+1), keep = v - c.  Then p^(keep+1) divides a*(den/p^v)^-1 - A,
+    so the two differ by norm at most p^(c-1), and v_p(A) = v_p(a) <= keep:
+    the same monomials with the same norms.  A row already over a power of
+    p with every numerator in the residue range is its own rounding."""
     p, var = left.p, left.var
-    return MicroOp(leibniz_product(left.coeffs, right.coeffs, p, var, (k, r, cutoff)), p, var)
+    out = leibniz_product(left.coeffs, right.coeffs, p, var, (k, r, cutoff))
+    for n, c in out.items():
+        num, den = c.num, c.den
+        if not num:
+            continue
+        v = _val(den, p)
+        pv = p**v
+        mod = p ** (v - cutoff + weight(n, k, r) + 1)
+        lo = (mod - 1) // 2
+        if den != pv:
+            inv = pow(den // pv, -1, mod)
+        elif -lo <= min(num) and max(num) <= mod // 2:
+            continue
+        else:
+            inv = 1
+        # canonical already: some a is prime to p when v > 0, and A = 0 only where a = 0
+        out[n] = _make(tuple([(a * inv + lo) % mod - lo for a in num]), pv, p, var)
+    return MicroOp(out, p, var)
 
 
 def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
@@ -242,25 +275,36 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     so g multiplies the series on the left, as a function, and walks no
     derivative chain; only the powers d^-q walk chains.
 
-    Cutoffs: every product is a short product, cut so that what it drops
-    moves S*T - 1 by less than eps.  With g s_q = 1 + e, the identity
-    S d^-q g = 1 + e + R is exact, so
+    Cutoffs: every product is a short product, cut and rounded so that
+    what it drops and what its rounding changes each have norm below its
+    cutoff (``_short``), so together they move its result by less than
+    the cutoff.  That bound is all the derivation below uses.  With
+    g s_q = 1 + e, the identity S d^-q g = 1 + e + R is exact, so
 
         S T - 1 = -(-R)^(L+1) + (1 + R) E + (e + dR + tail dG) A
                   - S d^-q dU - S dT
 
     where A is the computed series and E its truncation error, and dG,
-    dR, dU, dT are what the products for d^-q g, R, U = g A and T drop.
-    The unit verdict gives |R| < 0, hence |1 + R| = 0 and |A| <= 0; the
-    (k, r) norm is submultiplicative and |tail| <= |S|.  So every term is
-    below eps when R and the series are cut at eps, U at
+    dR, dU, dT are the errors (dropped plus rounded parts) of the products
+    for d^-q g, R, U = g A and T.  The unit verdict gives |R| < 0, hence
+    |1 + R| = 0 and |A| <= 0, since rounding keeps every monomial and its
+    norm; the (k, r) norm is submultiplicative and |tail| <= |S|.  So
+    every term is below eps when R and the series are cut at eps, U at
     eps - max(0, |S| + weight(-q)), and d^-q g and T at eps - max(0, |S|),
     and the series stops at the first L with (L+1)|R| < eps or at a power
     that truncates to zero.  The cut of T keeps it short.
 
+    The first power of the series is -R itself; each later one is the
+    previous power P times -R, after P is cut at eps - |R| and -R at
+    eps - |P|: for X = X' + dX with |dX| < c - |Y| and
+    Y = Y' + dY with |dY| < c - |X|, XY - X'Y' = dX Y' + X dY has norm
+    below c, so the next power still misses P(-R) by less than eps.
+
     Certificate: rho is recomputed from the full exact product S*T.  The
     bound above puts it below eps, so there is one pass; a miss raises
-    ``PrecisionNotReached`` at once.
+    ``PrecisionNotReached`` at once.  T has denominators that are powers
+    of p; it is one certified inverse among many, fixed by the balanced
+    residues of the rounding.
     """
     eps_exp = _as_exp(eps)
     verdict = micro_unit_verdict(S, k, r)
@@ -278,11 +322,16 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     # (L+1)*exp < eps bounds the series
     rnorm = minus_r._norm_exp(k, r)
     terms = 0 if rnorm is None else max(0, eps_exp // rnorm)
-    acc = power = MicroOp.one(p, var)
-    for _ in range(terms):
-        power = _short(power, minus_r, k, r, eps_exp)
-        if power.is_zero():
-            break
+    acc = MicroOp.one(p, var)
+    power = minus_r
+    for n in range(terms):
+        if n:
+            # below eps, a factor matters only down to eps less the other's norm
+            left = power.truncate_below(k, r, eps_exp - rnorm)
+            right = minus_r.truncate_below(k, r, eps_exp - power._norm_exp(k, r))
+            power = _short(left, right, k, r, eps_exp)
+            if power.is_zero():
+                break
         acc = acc + power
     inner = eps_exp - max(0, norm_s + weight(-q, k, r))
     T = _short(d_inv, _short(g, acc, k, r, inner), k, r, outer)

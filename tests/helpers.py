@@ -27,6 +27,10 @@ from padicdx import (
 )
 from padicdx.opparse import VARIABLES, Neg, Paren, Power, Product, Rational, Sum, Symbol
 
+# the hard certified inversion of the acceptance suite, the benchmark and
+# the golden corpus, at p = 2 and levels (2, 1)
+HARD_INVERT = "(72*x^2 + 80/3*x + 1588/5)*d + (32*x - 160/3) + 896/3*d^-1 - 16*d^-2"
+
 
 def rand_scalar(rng, p, val_range=(-3, 3), zero_ok=True):
     if zero_ok and rng.random() < 0.12:

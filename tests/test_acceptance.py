@@ -35,10 +35,9 @@ from padicdx import (
     support_on_blowup,
 )
 from padicdx.opparse import parse, to_micro_op
-from helpers import rand_diffop, rand_microop, rand_poly
+from helpers import HARD_INVERT, rand_diffop, rand_microop, rand_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-HARD_INVERT = "(72*x^2 + 80/3*x + 1588/5)*d + (32*x - 160/3) + 896/3*d^-1 - 16*d^-2"
 
 
 def w(p, e=1):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdx import DiffOp, MicroOp, TatePoly
-from padicdx.weyl import _gbinom, leibniz_product
+from padicdx import DiffOp, MicroOp, NormExp, TatePoly
+from padicdx.micro import _short
+from padicdx.weyl import _gbinom, leibniz_product, weight
 from helpers import falling_binom, leibniz_oracle
 
 PRIMES = [2, 3, 5, 7]
@@ -78,6 +79,37 @@ def test_short_product_against_truncated_oracle(p, levels, data):
     cutoff = data.draw(st.integers(top - 40, top + 4), label="cutoff")
     short = leibniz_product(A.coeffs, B.coeffs, p, "x", floor=(k, r, cutoff))
     assert MicroOp(short, p) == full.truncate_below(k, r, cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), levels=st.sampled_from(LEVELS), data=st.data())
+def test_rounded_short_product_against_truncated_oracle(p, levels, data):
+    # micro._short rounds each kept coefficient to its cutoff: at every
+    # power it stays within the cutoff of the truncated exact product,
+    # with the same monomials at the same valuations
+    k, r = levels
+    A = MicroOp(_coeffs(data, p, -4, 4, "A"), p)
+    B = MicroOp(_coeffs(data, p, -4, 4, "B"), p)
+    full = MicroOp(leibniz_oracle(A.coeffs, B.coeffs, p, "x"), p)
+    top = full.norm(k, r)
+    top = 0 if top.is_neg_inf() else top.exp
+    cutoff = data.draw(st.integers(top - 40, top + 4), label="cutoff")
+    want = full.truncate_below(k, r, cutoff).coeffs
+    got = _short(A, B, k, r, cutoff).coeffs
+    assert sorted(got) == sorted(want)
+    for n, c in got.items():
+        exact = want[n]
+        assert (c - exact).gauss_norm() < NormExp(cutoff - weight(n, k, r))
+        assert len(c.num) == len(exact.num)
+        for i in range(len(c.num)):
+            a, b = c.coefficient(i), exact.coefficient(i)
+            assert a.is_zero() == b.is_zero() and a.valuation() == b.valuation()
+        # canonical form, over a power of p
+        assert c == TatePoly([Fraction(a, c.den) for a in c.num], p)
+        den = c.den
+        while den % p == 0:
+            den //= p
+        assert den == 1
 
 
 @settings(max_examples=30, deadline=None)

@@ -24,7 +24,8 @@ from padicdx import (
     micro_invert,
     micro_unit_verdict,
 )
-from helpers import rand_microop, rand_poly
+from padicdx.opparse import parse, to_micro_op
+from helpers import HARD_INVERT, rand_microop, rand_poly
 
 
 def w(p, e=1):
@@ -332,6 +333,24 @@ def test_cutoffs_need_one_attempt():
         assert rho < NormExp(eps)
         assert (S * T - 1).norm(k, r) == rho
         done += 1
+
+
+def test_hard_inverse_stays_small():
+    # the short products round T to denominators that are powers of p and
+    # numerators that are balanced residues modulo p^(keep+1), with
+    # keep = v_p(den) - (eps - |S| - weight(n)); exact arithmetic gave
+    # 714-bit numerators here.  T has only negative powers, weight(n) <= -1,
+    # so a numerator is below p^(v_p(den) + |eps| + |S|); c = 2 covers the
+    # denominators 1, 2 and 4 that T has
+    p, k, r, eps = 2, 2, 1, -36
+    S = to_micro_op(parse(HARD_INVERT, micro=True), p)
+    T, rho = micro_invert(S, k, r, eps)
+    assert rho < NormExp(eps)
+    assert (S * T - 1).norm(k, r) == rho
+    bound = p ** (-eps + S.norm(k, r).exp + 2)
+    for c in T.coeffs.values():
+        assert c.den & (c.den - 1) == 0  # a power of p = 2
+        assert all(abs(a) < bound for a in c.num)
 
 
 def test_inversion_attempts_are_bounded(monkeypatch):

@@ -13,15 +13,17 @@ top, the revisions, the Python version, ``nproc`` and the ``src/*.py``
 line count of each side.  An existing ``--out`` file of the same two
 revisions keeps the workloads this run does not measure.
 
-The file also holds the hard-case ladder, ``hard_ladder``: the inversion
-workload's hard operator (``HARD_INVERT`` through ``hard_invert_operator``
-of each checkout's ``perfbench/workloads.py``, at p = 2, k = 2, r = 1)
-inverted at eps -24, -36 and -48, three times per revision and rung in
-alternating order, each in a fresh process capped at 60 s.  A run is the
-seconds ``micro_invert`` took, or ``"timeout"`` when the process hit the
-cap; each rung records every run and their median, a timeout counting as
-slower than any time.  Single runs of the -48 rung took 12.8 and 16.6 s
-on one tree, too wide a spread to show a gain below about 25%.
+The file also holds the hard-case ladder, ``hard_ladder``: a list of
+rungs, each an inversion run three times per revision in alternating
+order, each run in a fresh process capped at 60 s.  The first rungs are
+the inversion workload's hard operator (``HARD_INVERT`` through
+``hard_invert_operator`` of each checkout's ``perfbench/workloads.py``, at
+p = 2, k = 2, r = 1) at eps -24, -36 and -48; the last is ``SEED71_UNIT``
+below at p = 7, k = r = 1, eps -14.  A run is the seconds ``micro_invert``
+took, or ``"timeout"`` when the process hit the cap; each rung records
+every run and their median, a timeout counting as slower than any time.
+Single runs of the -48 rung took 12.8 and 16.6 s on one tree, too wide a
+spread to show a gain below about 25%.
 """
 
 from __future__ import annotations
@@ -42,17 +44,33 @@ BETTER = {
     "setup_s": -1, "ops_per_s": 1, "latency_p50_ms": -1, "latency_p90_ms": -1,
     "hard_case_s": -1, "peak_rss_mb": -1, "spawn_ms": -1,
 }
-LADDER = (-24, -36, -48)  # eps of the hard-case rungs
+# the slowest of the 120 units of test_cutoffs_need_one_attempt's generator
+# (seed 71, widened from 40 units; unit 76, q = 3): its x-degree and its
+# count of powers of d bound it, where the hard operator is bound by bits
+SEED71_UNIT = (
+    "-(117649*x^3 - 117649*x^2 - 352947/8*x + 3983259/8)*d^3"
+    " - (2470629/8*x^2 - 16807*x - 1294139/8)*d^2 + (2401*x^2 - 1715)"
+    " - (2401/5*x - 1029/8)*d^-1 - (539/5*x^3 - 343*x^2 - 7*x + 343)*d^-2"
+)
+# the rungs: name, operator text ("" for the benchmark's hard operator), p, k, r, eps
+LADDER = (
+    ("HARD_INVERT", "", 2, 2, 1, -24),
+    ("HARD_INVERT", "", 2, 2, 1, -36),
+    ("HARD_INVERT", "", 2, 2, 1, -48),
+    ("SEED71_UNIT", SEED71_UNIT, 7, 1, 1, -14),
+)
 LADDER_CAP_S = 60
 LADDER_REPEATS = 3
-# one rung, run from the root of a checkout with eps as its argument
+# one rung, run from the root of a checkout with text, p, k, r and eps as arguments
 RUNG = """import sys, time
 sys.path[:0] = ["src", "perfbench"]
 from workloads import hard_invert_operator
 from padicdx import micro_invert
-S = hard_invert_operator()
+from padicdx.opparse import parse, to_micro_op
+text, (p, k, r, eps) = sys.argv[1], map(int, sys.argv[2:])
+S = to_micro_op(parse(text, micro=True), p) if text else hard_invert_operator()
 start = time.perf_counter()
-micro_invert(S, 2, 1, int(sys.argv[1]))
+micro_invert(S, k, r, eps)
 print(time.perf_counter() - start)
 """
 
@@ -83,10 +101,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             **{k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def rung(checkout: Path, eps: int):
+def rung(checkout: Path, text: str, *levels: int):
     try:
-        proc = subprocess.run([sys.executable, "-c", RUNG, str(eps)], cwd=checkout,
-                              capture_output=True, text=True, timeout=LADDER_CAP_S, check=True)
+        proc = subprocess.run([sys.executable, "-c", RUNG, text, *map(str, levels)],
+                              cwd=checkout, capture_output=True, text=True,
+                              timeout=LADDER_CAP_S, check=True)
     except subprocess.TimeoutExpired:
         return "timeout"
     return float(proc.stdout)
@@ -136,17 +155,19 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
-        ladder = {"p": 2, "k": 2, "r": 1, "cap_s": LADDER_CAP_S, "repeats": LADDER_REPEATS,
-                  "parent": {}, "change": {}}
-        for eps in LADDER:
+        rungs = []
+        for name, text, *levels in LADDER:
             runs = {"parent": [], "change": []}
             for i in range(LADDER_REPEATS):
                 for side in sides(i):
-                    runs[side].append(rung(trees[side], eps))
-                    print("ladder", eps, side, runs[side][-1], file=sys.stderr, flush=True)
-            for side, values in runs.items():
-                ladder[side][str(eps)] = {"median": ladder_median(values), "runs": values}
-        doc["hard_ladder"] = ladder
+                    runs[side].append(rung(trees[side], text, *levels))
+                    print("ladder", name, levels, side, runs[side][-1], file=sys.stderr,
+                          flush=True)
+            rungs.append({"operator": name, **dict(zip(("p", "k", "r", "eps"), levels)),
+                          **{side: {"median": ladder_median(values), "runs": values}
+                             for side, values in runs.items()}})
+        doc["hard_ladder"] = {"cap_s": LADDER_CAP_S, "repeats": LADDER_REPEATS,
+                              "operators": {"SEED71_UNIT": SEED71_UNIT}, "rungs": rungs}
         for workload in args.workloads:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
