@@ -7,7 +7,8 @@ function on plain lists; :class:`ResiduePoly` checks operands and wraps
 results.  Factoring follows von zur Gathen and Gerhard, *Modern Computer
 Algebra*, ch. 14: square-free, distinct-degree and equal-degree
 (Cantor-Zassenhaus) splitting.  Products and remainders are schoolbook,
-the fastest choice in pure Python at degrees of a few dozen.
+the fastest choice in pure Python at degrees of a few dozen; every dense
+integer product of the package is the one routine ``_mul_into``.
 
 The code :class:`ResiduePoly` shares with
 :class:`padicdx.tatepoly.TatePoly` lives here: the constructors and the
@@ -108,16 +109,21 @@ def _sub(a, b, p: int) -> list:
     return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
+def _mul_into(out: list, a, b) -> list:
+    """Add the schoolbook product of the integer lists a and b into out,
+    lengthened as needed; return out.  The package's one dense product."""
+    if a and b:
+        out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+    return out
+
+
 def _mul(a, b, p: int) -> list:
     # over a field the leading coefficient of a product is nonzero
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b, i):
-                out[k] += x * y
-    return [c % p for c in out]
+    return [c % p for c in _mul_into([], a, b)]
 
 
 def _divmod(a, b, p: int) -> tuple[list, list]:
@@ -423,8 +429,9 @@ class ResiduePoly(_DensePoly):
 
     def translate(self, c) -> "ResiduePoly":
         """Substitute the variable plus the constant c for the variable."""
-        c = c.value if isinstance(c, ResidueElem) else int(c)
-        return ResiduePoly(_translate(self.coeffs, c % self.p, self.p), self.p, self.var)
+        if isinstance(c, ResidueElem):
+            c = self._check(c).coefficient(0)  # checks the prime
+        return ResiduePoly(_translate(self.coeffs, int(c) % self.p, self.p), self.p, self.var)
 
     def with_var(self, var: str) -> "ResiduePoly":
         return ResiduePoly(self.coeffs, self.p, var)
@@ -438,8 +445,11 @@ class ResiduePoly(_DensePoly):
     def pow_mod(self, exp: int, modulus: "ResiduePoly") -> "ResiduePoly":
         if exp < 0:
             raise ValueError(self._NEGATIVE_POWER)
-        r = self % modulus  # checks the prime, the variables and a zero modulus
-        return ResiduePoly(_pow_mod(r.coeffs, exp, modulus.coeffs, self.p), self.p, r.var)
+        m = self._check(modulus)
+        if m is None:
+            raise TypeError(f"pow_mod modulo {type(modulus).__name__}")
+        r = self % m  # checks the variables and a zero modulus
+        return ResiduePoly(_pow_mod(r.coeffs, exp, m.coeffs, self.p), self.p, r.var)
 
     def pth_root(self) -> "ResiduePoly":
         # only valid when the derivative vanishes

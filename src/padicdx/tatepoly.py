@@ -19,7 +19,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import MixedPrimes, NormTooLarge, NotAUnit, ZeroInput
-from .residue import ResiduePoly, _DensePoly, _format_poly
+from .residue import ResiduePoly, _DensePoly, _format_poly, _mul_into
 from .scalars import NEG_INF, NormExp, PAdicScalar, is_prime
 from .scalars import _fraction_valuation as _val
 
@@ -159,14 +159,7 @@ class TatePoly(_DensePoly):
         if o is None:
             return NotImplemented
         var = self._merge_var(o)
-        if not self.num or not o.num:
-            return TatePoly.zero(self.p, var)
-        out = [0] * (len(self.num) + len(o.num) - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in enumerate(o.num):
-                    out[i + j] += x * y
-        return _canon(out, self.den * o.den, self.p, var)
+        return _canon(_mul_into([], self.num, o.num), self.den * o.den, self.p, var)
 
     __rmul__ = __mul__
 

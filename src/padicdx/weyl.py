@@ -24,7 +24,7 @@ import math
 from itertools import zip_longest
 
 from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
-from .residue import _format_terms
+from .residue import _format_terms, _mul_into
 from .scalars import NormExp, PAdicScalar, _Ring
 from .tatepoly import TatePoly, _canon, _keep_above
 
@@ -59,7 +59,7 @@ def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> di
     d^m c = sum_j C(m, j) c^(j) d^(m-j): up to j = m for m >= 0, else up to
     the degree of c.  Each side goes over the lcm of its denominators; per
     b_m the scaled derivatives are summed for each output power on integer
-    lists, then multiplied by b_m once.
+    lists, then multiplied by b_m once into its row by ``_mul_into``.
 
     With ``floor=(k, r, cutoff)`` this is the short product: the result is
     exactly ``truncate_below(k, r, cutoff)`` of the full product.  Every
@@ -109,12 +109,7 @@ def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> di
                 acc = sums.get(key, ())
                 sums[key] = [x + coef * y for x, y in zip_longest(acc, der, fillvalue=0)]
         for key, s in sums.items():
-            row = out.setdefault(key, [])
-            row.extend([0] * (len(bm) + len(s) - 1 - len(row)))
-            for i, x in enumerate(bm):
-                if x:
-                    for t, y in enumerate(s, i):
-                        row[t] += x * y
+            _mul_into(out.setdefault(key, []), bm, s)
     den = lden * rden
     if floor is not None:
         for key, row in out.items():

@@ -121,6 +121,8 @@ def test_translate():
     g = f.translate(1)  # (x + 1)^2
     assert g == P([1, 2, 1], p=3)
     assert g.translate(-1) == f
+    with pytest.raises(MixedPrimes, match="^mixed primes$"):
+        P([1, 2, 1], p=3).translate(ResidueElem(1, 5))
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,6 +181,19 @@ def test_pow_mod_refuses_a_negative_exponent():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert P([1, 1], 3).pow_mod(0, P([1, 0, 1], 3)) == P([1], 3)
+
+
+def test_pow_mod_takes_its_modulus_as_an_operand():
+    # an int or a residue is a constant modulus, as for %
+    f = P([1, 1], 3)
+    assert f.pow_mod(3, 5).is_zero() and f.pow_mod(3, ResidueElem(2, 3)).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        f.pow_mod(3, 3)
+    with pytest.raises(MixedPrimes):
+        f.pow_mod(3, ResidueElem(1, 5))
+    for other in ("x", None, 1.5):
+        with pytest.raises(TypeError, match="^pow_mod modulo "):
+            f.pow_mod(3, other)
 
 
 def test_gcd_with_a_non_polynomial_is_a_type_error():
