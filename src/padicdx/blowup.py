@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .charcycle import _point_json, infinite_support
-from .errors import LevelTooSmall, NegativeValuation, TruncatedOperand, ZeroOperator
+from .errors import LevelTooSmall, NegativeValuation, ZeroOperator
 from .residue import ClosedPoint, ResiduePoly
 from .scalars import NormExp, PAdicScalar
 from .tatepoly import TatePoly
@@ -108,8 +108,7 @@ def pull_operator_u1(P: DiffOp, B: BlowupModel, k: int) -> DiffOp:
             f"level {k} below the blow-up level {B.m}: the scaled derivation "
             "does not preserve integral chart functions"
         )
-    if not P.finite:
-        raise TruncatedOperand("cannot transport a truncated operator")
+    P._require_finite("cannot transport a truncated operator")
     out = {}
     for n, c in P.coeffs.items():
         shift = PAdicScalar.uniformizer_power(P.p, -B.m * n)
@@ -139,10 +138,7 @@ def support_on_blowup(
     P: DiffOp, B: BlowupModel
 ) -> list[tuple[ChartPoint, int]]:
     """Support points of the cyclic module on the blow-up, per chart."""
-    if not P.finite:
-        raise TruncatedOperand("support undecidable for a truncated operator")
-    if P.is_zero():
-        raise ZeroOperator("zero operator")
+    P._require_finite("support undecidable for a truncated operator", "zero operator")
     base_norm, _ = P.leading_coefficient().normalize()
     return _chart_points(P, B, base_norm.reduce().factor())
 

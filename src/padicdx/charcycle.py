@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TruncatedOperand, ZeroOperator
 from .micro import FailsDecay, finite_order_verdict
 from .residue import ClosedPoint, factor_reduction
 from .weyl import DiffOp
@@ -80,10 +79,7 @@ def _point_json(pt: ClosedPoint, mult: int) -> dict:
 def infinite_support(P: DiffOp) -> SupportReport:
     """Support points of the cyclic module: zeros of the reduced
     normalized dominant coefficient, with multiplicities."""
-    if not P.finite:
-        raise TruncatedOperand("support undecidable for a truncated operator")
-    if P.is_zero():
-        raise ZeroOperator("zero operator")
+    P._require_finite("support undecidable for a truncated operator", "zero operator")
     lead = P.leading_coefficient()
     normalized, _ = lead.normalize()
     reduced = normalized.reduce()
@@ -100,10 +96,10 @@ def char_cycle(P: DiffOp) -> CharCycle:
 
 def _cycle_and_support(P: DiffOp) -> tuple[CharCycle, SupportReport]:
     """``char_cycle(P)`` and ``infinite_support(P)``, factoring once."""
-    if not P.finite:
-        raise TruncatedOperand("cycle undecidable for a truncated operator")
-    if P.is_zero():
-        raise ZeroOperator("the module presented by zero is not cyclic-finite")
+    P._require_finite(
+        "cycle undecidable for a truncated operator",
+        "the module presented by zero is not cyclic-finite",
+    )
     if P.is_disc_unit():  # order zero: decay holds at level 1, no support
         return CharCycle(0, ()), SupportReport(1, ())
     report = infinite_support(P)
@@ -120,10 +116,7 @@ def cc_add(c1: CharCycle, c2: CharCycle) -> CharCycle:
 
 def bernstein_check(P: DiffOp) -> bool:
     """Whether the cycle vanishes exactly for invertible presentations."""
-    if not P.finite:
-        raise TruncatedOperand("check undecidable for a truncated operator")
-    if P.is_zero():
-        raise ZeroOperator("zero operator")
+    P._require_finite("check undecidable for a truncated operator", "zero operator")
     return char_cycle(P).is_zero() == P.is_disc_unit()
 
 

@@ -46,8 +46,8 @@ from .weyl import ConnectionMatrix, commutator, connection_level
 
 ENV_PRIME = "PADICDX_DEFAULT_PRIME"
 PRIME_LIMIT = 2**64  # is_prime is exact far beyond this
-# largest |eps|: the inversion series has about |eps| terms for a tail of
-# norm p^-1, and its time grows about as their square (0.2 s at 2000)
+# largest |eps|: it bounds the size of an inversion (about |eps| series terms
+# of about |eps| p-adic digits for a tail of norm p^-1), not its time
 MAX_EPS = 2000
 
 

@@ -1,9 +1,11 @@
 """Laurent operators in the derivation and their microlocal norms.
 
 A :class:`MicroOp` stores a finite window of coefficients indexed by
-integer powers of the derivation, negative powers included.  It shares
-one store and one copy of the ring code with :class:`padicdx.weyl.DiffOp`,
-and mixed arithmetic embeds the finite operand.  Products are exact:
+integer powers of the derivation, negative powers included: the operator
+core of :mod:`padicdx.weyl` with every power allowed, of which
+:class:`padicdx.weyl.DiffOp` is the nonnegative-power view.  Mixed
+arithmetic embeds the finite operand.  ``MicroOp(...)`` checks its input;
+kernel results are built by ``_Operator._of`` without it.  Products are exact:
 moving a power of the derivation across a polynomial coefficient uses the
 generalized Leibniz expansion, whose generalized binomial coefficients are
 integers for every integer exponent and whose series terminates at the
@@ -43,7 +45,6 @@ from .errors import (
     BadLevels,
     NotInvertibleHere,
     PrecisionNotReached,
-    TruncatedOperand,
     ZeroOperator,
 )
 from .residue import ResiduePoly
@@ -73,17 +74,13 @@ class MicroOp(_Operator):
 
     @classmethod
     def from_diffop(cls, P: DiffOp) -> "MicroOp":
-        if not P.finite:
-            raise TruncatedOperand("cannot embed a truncated operator")
-        return cls(P.coeffs, P.p, P.var)
-
-    # a DiffOp operand of the arithmetic is embedded, so mixed results are Laurent
-    _embed = from_diffop
+        P._require_finite("cannot embed a truncated operator")
+        return cls._of(P.coeffs, P.p, P.var)
 
     def to_diffop(self) -> DiffOp:
         if any(n < 0 for n in self.coeffs):
             raise ValueError("negative powers present")
-        return DiffOp(self.coeffs, self.p, self.var)
+        return DiffOp._of(self.coeffs, self.p, self.var)
 
     # structure
 
@@ -124,11 +121,8 @@ class MicroOp(_Operator):
         (k, r) norm; the result differs from the original by an element
         of norm below the cutoff."""
         _check_levels(k, r)
-        return MicroOp(
-            {n: c.drop_below(cutoff_exp - weight(n, k, r)) for n, c in self.coeffs.items()},
-            self.p,
-            self.var,
-        )
+        table = {n: c.drop_below(cutoff_exp - weight(n, k, r)) for n, c in self.coeffs.items()}
+        return MicroOp._of(table, self.p, self.var)
 
 
 # invertibility verdicts
@@ -256,7 +250,7 @@ def _short(left: MicroOp, right: MicroOp, k: int, r: int, cutoff: int) -> MicroO
             inv = 1
         # canonical already: some a is prime to p when v > 0, and A = 0 only where a = 0
         out[n] = _make(tuple([(a * inv + lo) % mod - lo for a in num]), pv, p, var)
-    return MicroOp(out, p, var)
+    return MicroOp._of(out, p, var)
 
 
 def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
@@ -312,7 +306,7 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
         raise NotInvertibleHere(f"unit test failed: {verdict}")
     q = verdict.q
     p, var = S.p, S.var
-    tail = MicroOp({n: c for n, c in S.coeffs.items() if n != q}, p, var)
+    tail = MicroOp._of({n: c for n, c in S.coeffs.items() if n != q}, p, var)
     d_inv = MicroOp.d_power(-q, p, var)
     norm_s = S._norm_exp(k, r)
     g = MicroOp.from_poly(S.coeffs[q].invert_on_disc(eps_exp)[0])
@@ -353,10 +347,7 @@ def finite_order_verdict(P: DiffOp, r: int):
     """
     if r < 1:
         raise BadLevels(f"microlocal level must be at least 1, got {r}")
-    if not P.finite:
-        raise TruncatedOperand("analysis undefined for a truncated operator")
-    if P.is_zero():
-        raise ZeroOperator("zero operator")
+    P._require_finite("analysis undefined for a truncated operator", "zero operator")
     d = P.degree()
     lead = P.coefficient(d)
     e_top = lead._gauss_exp()

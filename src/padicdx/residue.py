@@ -157,7 +157,7 @@ def _gcd(a, b, p: int) -> list:
 
 def _pow_mod(a, exp: int, f, p: int) -> list:
     """a^exp mod f by square and multiply."""
-    out, base = [1], _divmod(a, f, p)[1]
+    out, base = _divmod([1], f, p)[1], _divmod(a, f, p)[1]
     while exp:
         if exp & 1:
             out = _divmod(_mul(out, base, p), f, p)[1]

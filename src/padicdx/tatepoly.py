@@ -45,10 +45,10 @@ def _fraction(value, p: int) -> Fraction:
 
 def _make(num: tuple, den: int, p: int, var: str) -> "TatePoly":
     f = object.__new__(TatePoly)
-    object.__setattr__(f, "num", num)
-    object.__setattr__(f, "den", den)
-    object.__setattr__(f, "p", p)
-    object.__setattr__(f, "var", var)
+    _SET_NUM(f, num)
+    _SET_DEN(f, den)
+    _SET_P(f, p)
+    _SET_VAR(f, var)
     return f
 
 
@@ -331,3 +331,9 @@ class TatePoly(_DensePoly):
     def __repr__(self):
         coeffs = [str(Fraction(a, self.den)) for a in self.num]
         return f"TatePoly({coeffs}, p={self.p}, var={self.var!r})"
+
+
+# the slot setters of ``_make``: TatePoly.__setattr__ refuses every write
+_SET_NUM, _SET_DEN, _SET_P, _SET_VAR = (
+    getattr(TatePoly, name).__set__ for name in TatePoly.__slots__
+)

@@ -8,10 +8,12 @@ one store serves every level.  Multiplication moves coefficients across
 powers of the derivation with the Leibniz rule and is exactly norm
 multiplicative at every level.  One integer kernel, :func:`leibniz_product`,
 runs the rule for these operators and for the Laurent ones of ``micro``.
-Both share one store and the operator code, :class:`_Operator`; a finite
-operator is the part with nonnegative powers of the derivation.
-Subtraction, powers and immutability are those of the polynomials,
-``padicdx.scalars._Ring``.
+Both are one core, :class:`_Operator`, and :class:`DiffOp` is its view
+with nonnegative powers of the derivation.  The public constructors are
+the one place operator input is checked and coerced; results of the
+kernel are built from canonical polynomials by the trusted
+``_Operator._of`` without coercing them again.  Subtraction, powers and
+immutability are those of the polynomials, ``padicdx.scalars._Ring``.
 
 A truncation tag distinguishes operators whose stored window is the whole
 operator from truncations of an infinite one; no arithmetic is defined on
@@ -119,36 +121,30 @@ def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> di
 
 class _Operator(_Ring):
     """A sparse map from powers of the derivation to polynomial
-    coefficients, coefficients on the left, with the ring operations.
-    Immutable.  Subclasses fix which powers are allowed; an operand of the
-    other class is taken in through :meth:`_embed`."""
+    coefficients, coefficients on the left, with the ring operations and
+    the truncation tag ``finite``.  Immutable.  Results of the arithmetic
+    are built by the trusted :meth:`_of`."""
 
-    __slots__ = ("coeffs", "p", "var")
-    finite = True
+    __slots__ = ("coeffs", "p", "var", "finite")
+    _UNDEFINED = "operation undefined on a truncated operator"
 
-    def __init__(self, coeffs, p: int, var: str = "x"):
-        coeffs = dict(coeffs)
-        self._admit(coeffs)
+    def __new__(cls, coeffs, p: int, var: str = "x"):
         table: dict[int, TatePoly] = {}
-        for n, c in coeffs.items():
-            poly = _coerce_poly(c, p, var)
-            if not poly.is_zero():
-                table[int(n)] = poly
-        object.__setattr__(self, "coeffs", table)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "var", var)
+        for n, c in dict(coeffs).items():
+            table[int(n)] = _coerce_poly(c, p, var)
+        return cls._of(table, p, var)
 
-    def _admit(self, coeffs: dict):
-        """Refuse powers outside the ring; every power is allowed here."""
-
-    def _embed(self, other: "_Operator"):
-        """An operand of the other class as one of this class, or None to
-        leave the operation to the other class."""
-        return None
-
-    def _rebuild(self, coeffs) -> "_Operator":
-        """Same class, prime, variable and tag; new coefficients."""
-        return type(self)(coeffs, self.p, self.var)
+    @classmethod
+    def _of(cls, table: dict, p: int, var: str, finite: bool = True):
+        """An operator of this class from a {power: TatePoly} table the
+        kernel built from canonical polynomials of prime p; zero
+        coefficients are dropped and nothing else is checked."""
+        op = object.__new__(cls)
+        _SET_COEFFS(op, {n: c for n, c in table.items() if c.num})
+        _SET_P(op, p)
+        _SET_VAR(op, var)
+        _SET_FINITE(op, finite)
+        return op
 
     # constructors
 
@@ -172,9 +168,12 @@ class _Operator(_Ring):
     def coefficient(self, n: int) -> TatePoly:
         return self.coeffs.get(n, TatePoly.zero(self.p, self.var))
 
-    def _require_finite(self):
+    def _require_finite(self, truncated=_UNDEFINED, zero=None):
+        """Refuse a truncated operator, then the zero one if zero is given."""
         if not self.finite:
-            raise TruncatedOperand("operation undefined on a truncated operator")
+            raise TruncatedOperand(truncated)
+        if zero is not None and not self.coeffs:
+            raise ZeroOperator(zero)
 
     def _norm_exp(self, k: int, r: int):
         """The (k, r) norm exponent as a plain int; None, the exponent of
@@ -192,19 +191,21 @@ class _Operator(_Ring):
             return type(self)({0: other}, self.p, self.var)
         if isinstance(other, TatePoly):
             other = self.from_poly(other)
-        elif isinstance(other, _Operator) and not isinstance(other, type(self)):
-            other = self._embed(other)
+        elif isinstance(other, DiffOp) and not isinstance(self, DiffOp):
+            # a finite operand of a Laurent one is embedded: mixed results are Laurent
+            other = self.from_diffop(other)
         if not isinstance(other, type(self)):
             return None
         if other.p != self.p:
             raise MixedPrimes("mixed primes")
         return other
 
+    def _free_var(self):
+        """The variable, or None when every coefficient is constant."""
+        return self.var if any(not c.is_constant() for c in self.coeffs.values()) else None
+
     def _merge_var(self, other: "_Operator") -> str:
-        mine = self.var if any(not c.is_constant() for c in self.coeffs.values()) else None
-        theirs = (
-            other.var if any(not c.is_constant() for c in other.coeffs.values()) else None
-        )
+        mine, theirs = self._free_var(), other._free_var()
         if mine and theirs and mine != theirs:
             raise MixedVariables(f"mixed variables {mine!r} and {theirs!r}")
         return mine or theirs or self.var
@@ -219,12 +220,12 @@ class _Operator(_Ring):
         out = dict(self.coeffs)
         for n, c in o.coeffs.items():
             out[n] = out.get(n, TatePoly.zero(self.p, var)) + c
-        return type(self)(out, self.p, var)
+        return self._of(out, self.p, var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._rebuild({n: -c for n, c in self.coeffs.items()})
+        return self._of({n: -c for n, c in self.coeffs.items()}, self.p, self.var, self.finite)
 
     def __mul__(self, other):
         o = self._check(other)
@@ -233,7 +234,7 @@ class _Operator(_Ring):
         self._require_finite()
         o._require_finite()
         var = self._merge_var(o)
-        return type(self)(leibniz_product(self.coeffs, o.coeffs, self.p, var), self.p, var)
+        return self._of(leibniz_product(self.coeffs, o.coeffs, self.p, var), self.p, var)
 
     def __rmul__(self, other):
         o = self._check(other)
@@ -242,18 +243,13 @@ class _Operator(_Ring):
         return o * self
 
     def scale(self, scalar):
-        return self._rebuild({n: c.scale(scalar) for n, c in self.coeffs.items()})
+        table = {n: c.scale(scalar) for n, c in self.coeffs.items()}
+        return self._of(table, self.p, self.var, self.finite)
 
     # misc
 
     def _eq_key(self):
-        has_var = any(not c.is_constant() for c in self.coeffs.values())
-        return (
-            self.p,
-            self.finite,
-            frozenset(self.coeffs.items()),
-            self.var if has_var else "",
-        )
+        return self.p, self.finite, frozenset(self.coeffs.items()), self._free_var() or ""
 
     def __eq__(self, other):
         if isinstance(other, (TatePoly, PAdicScalar)) and other.p != self.p:
@@ -277,22 +273,18 @@ class _Operator(_Ring):
 
 class DiffOp(_Operator):
     """A finite operator written as a sum of coefficients times powers of
-    the derivation, coefficients on the left.
+    the derivation, coefficients on the left: the nonnegative-power view.
     """
 
-    __slots__ = ("finite",)
+    __slots__ = ()
     _NEGATIVE_POWER = "negative power of a finite operator"
 
-    def __init__(self, coeffs, p: int, var: str = "x", finite: bool = True):
-        super().__init__(coeffs, p, var)
-        object.__setattr__(self, "finite", bool(finite))
-
-    def _admit(self, coeffs: dict):
+    def __new__(cls, coeffs, p: int, var: str = "x", finite: bool = True):
+        coeffs = dict(coeffs)
         if any(n < 0 for n in coeffs):
             raise ValueError("negative powers need the Laurent ring")
-
-    def _rebuild(self, coeffs) -> "DiffOp":
-        return DiffOp(coeffs, self.p, self.var, self.finite)
+        op = super().__new__(cls, coeffs, p, var)
+        return op if finite else cls._of(op.coeffs, p, var, False)
 
     # constructors
 
@@ -309,9 +301,7 @@ class DiffOp(_Operator):
 
     def degree(self) -> int:
         """Degree in the derivation; requires a finite nonzero operator."""
-        self._require_finite()
-        if not self.coeffs:
-            raise ZeroOperator("zero operator has no degree")
+        self._require_finite(zero="zero operator has no degree")
         return max(self.coeffs)
 
     def leading_coefficient(self) -> TatePoly:
@@ -352,6 +342,12 @@ class DiffOp(_Operator):
                 g = g.derivative()
             out = out + c * g
         return out
+
+
+# the slot setters of ``_of``: _Operator.__setattr__ refuses every write
+_SET_COEFFS, _SET_P, _SET_VAR, _SET_FINITE = (
+    getattr(_Operator, name).__set__ for name in _Operator.__slots__
+)
 
 
 def _format_operator(coeffs: dict[int, TatePoly]) -> str:

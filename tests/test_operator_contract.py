@@ -3,12 +3,14 @@ arithmetic, coercion of scalars and functions, prime checks, printing,
 immutability, negative powers and the truncated tag."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicdx import DiffOp, MicroOp, MixedPrimes, PAdicScalar, TatePoly, TruncatedOperand
+from padicdx.micro import _short
 from helpers import join_operator_str
 
 p = 2
@@ -187,3 +189,45 @@ def test_operator_text_matches_old_printer(p, micro, data):
     coeffs = {n: data.draw(_op_coefficient(p), label=f"c[{n}]") for n in powers}
     op = (MicroOp if micro else DiffOp)(coeffs, p)
     assert str(op) == join_operator_str(op.coeffs)
+
+
+def _operator(p, kind):
+    """A DiffOp, a truncated DiffOp or a MicroOp of up to four powers."""
+    lo = -3 if kind == "micro" else 0
+    make = {"diff": DiffOp, "truncated": DiffOp.truncated, "micro": MicroOp}[kind]
+    return st.dictionaries(st.integers(lo, 3), _op_coefficient(p), max_size=4).map(
+        lambda coeffs: make(coeffs, p)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), data=st.data())
+def test_kernel_results_match_the_checking_constructor(p, data):
+    # every result the kernel builds without the checks is what the
+    # checking constructor builds from its table
+    A, B, T = (data.draw(_operator(p, kind)) for kind in ("diff", "diff", "truncated"))
+    M, N = (data.draw(_operator(p, "micro")) for _ in range(2))
+    s = data.draw(st.sampled_from([0, 1, -1, Fraction(1, p), Fraction(p, 3)]), label="scalar")
+    r = data.draw(st.integers(1, 3), label="r")
+    k = data.draw(st.integers(r, 3), label="k")
+    cutoff = data.draw(st.integers(-4, 4), label="cutoff")
+    results = [
+        (A + B, DiffOp, True), (A - B, DiffOp, True), (A * B, DiffOp, True),
+        (-A, DiffOp, True), (A.scale(s), DiffOp, True),
+        (-T, DiffOp, False), (T.scale(s), DiffOp, False),
+        (M + N, MicroOp, True), (M - N, MicroOp, True), (M * N, MicroOp, True),
+        (-M, MicroOp, True), (M.scale(s), MicroOp, True),
+        (A + M, MicroOp, True), (M - A, MicroOp, True), (A * M, MicroOp, True),
+        (M.truncate_below(k, r, cutoff), MicroOp, True),
+        (_short(M, N, k, r, cutoff), MicroOp, True),
+        (MicroOp.from_diffop(A), MicroOp, True),
+        (MicroOp.from_diffop(A).to_diffop(), DiffOp, True),
+    ]
+    for X, cls, finite in results:
+        assert type(X) is cls and X.p == p and X.finite is finite
+        for n, c in X.coeffs.items():
+            assert type(n) is int and c.num and c.num[-1] and c.p == p
+            assert c.den > 0 and gcd(c.den, *c.num) == 1
+        rebuilt = (cls if finite else DiffOp.truncated)(dict(X.coeffs), X.p, X.var)
+        assert X == rebuilt and hash(X) == hash(rebuilt)
+        assert X.coeffs == rebuilt.coeffs and repr(X) == repr(rebuilt)

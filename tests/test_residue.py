@@ -196,6 +196,15 @@ def test_pow_mod_takes_its_modulus_as_an_operand():
             f.pow_mod(3, other)
 
 
+def test_pow_mod_zero_exponent_is_reduced_by_a_unit_constant():
+    # f^0 = 1, and 1 mod a unit constant is 0, as for %
+    f = P([1, 1], 3)
+    assert P([1], 3) % 5 == P([], 3)
+    assert f.pow_mod(0, 5) == P([], 3)
+    assert f.pow_mod(0, P([2], 3)) == P([], 3)
+    assert f.pow_mod(0, ResidueElem(2, 3)) == P([], 3)
+
+
 def test_gcd_with_a_non_polynomial_is_a_type_error():
     for other in ("x", None, 1.5):
         with pytest.raises(TypeError):

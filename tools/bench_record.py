@@ -18,7 +18,7 @@ rungs, each an inversion run three times per revision in alternating
 order, each run in a fresh process capped at 60 s.  The first rungs are
 the inversion workload's hard operator (``HARD_INVERT`` through
 ``hard_invert_operator`` of each checkout's ``perfbench/workloads.py``, at
-p = 2, k = 2, r = 1) at eps -24, -36 and -48; the last is ``SEED71_UNIT``
+p = 2, k = 2, r = 1) at eps -24, -36, -48 and -96; the last is ``SEED71_UNIT``
 below at p = 7, k = r = 1, eps -14.  A run is the seconds ``micro_invert``
 took, or ``"timeout"`` when the process hit the cap; each rung records
 every run and their median, a timeout counting as slower than any time.
@@ -57,6 +57,7 @@ LADDER = (
     ("HARD_INVERT", "", 2, 2, 1, -24),
     ("HARD_INVERT", "", 2, 2, 1, -36),
     ("HARD_INVERT", "", 2, 2, 1, -48),
+    ("HARD_INVERT", "", 2, 2, 1, -96),
     ("SEED71_UNIT", SEED71_UNIT, 7, 1, 1, -14),
 )
 LADDER_CAP_S = 60
