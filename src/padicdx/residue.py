@@ -6,9 +6,10 @@ sequence is the zero polynomial.  Each algorithm exists once, as a module
 function on plain lists; :class:`ResiduePoly` checks operands and wraps
 results.  Factoring follows von zur Gathen and Gerhard, *Modern Computer
 Algebra*, ch. 14: square-free, distinct-degree and equal-degree
-(Cantor-Zassenhaus) splitting.  Products and remainders are schoolbook,
-the fastest choice in pure Python at degrees of a few dozen; every dense
-integer product of the package is the one routine ``_mul_into``.
+(Cantor-Zassenhaus) splitting.  Every dense integer product of the
+package is the one routine ``_mul_into``: schoolbook on short lists and
+Kronecker substitution, one product of two large ints, from
+``_PACK_MIN`` entries on both sides.  Remainders are schoolbook.
 
 The code :class:`ResiduePoly` shares with
 :class:`padicdx.tatepoly.TatePoly` lives here: the constructors and the
@@ -22,6 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from operator import add
 
 from .errors import MixedPrimes, MixedVariables, ZeroInput
 from .scalars import _Ring, is_prime
@@ -109,9 +111,51 @@ def _sub(a, b, p: int) -> list:
     return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
+# the least length of both operands at which _mul_into packs: the
+# measured crossover of the two paths on equal lengths (CHANGES.md)
+_PACK_MIN = 13
+
+
+def _pack(a, width: int) -> int:
+    """The int with the entries of a in its width-byte slots, lowest first:
+    each slot is written as unsigned bytes holding its entry plus half its
+    range, and that bias is then taken off the whole int."""
+    half = 1 << (8 * width - 1)
+    biased = int.from_bytes(b"".join([(x + half).to_bytes(width, "little") for x in a]), "little")
+    return biased - int.from_bytes(half.to_bytes(width, "little") * len(a), "little")
+
+
+def _unpack(c: int, n: int, width: int) -> list:
+    """The entries of the n width-byte slots of c, the inverse of _pack
+    when each entry is less than half a slot's range in size."""
+    half = 1 << (8 * width - 1)
+    c += int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    buf = c.to_bytes(n * width, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(buf[i : i + width], "little") - half for i in range(0, n * width, width)]
+
+
 def _mul_into(out: list, a, b) -> list:
-    """Add the schoolbook product of the integer lists a and b into out,
-    lengthened as needed; return out.  The package's one dense product."""
+    """Add the product of the integer lists a and b into out, lengthened
+    as needed; return out.  The package's one dense product.
+
+    Lists shorter than ``_PACK_MIN`` on either side take the schoolbook
+    loop.  Otherwise the product is a Kronecker substitution (von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, 8.4): each list is
+    packed into one int with an entry per slot of w bits, the two ints
+    are multiplied once, and the slots of that product are the
+    coefficients.  A coefficient is at most min(len)·max|a|·max|b| in
+    size, so w, the whole bytes above bits(max|a|) + bits(max|b|) +
+    bits(min(len)) + 2, holds it and its sign."""
+    # the packed path is in helpers: a comprehension here would make its
+    # names cells, created on every call, short ones included
+    if len(a) >= _PACK_MIN and len(b) >= _PACK_MIN:
+        bits = max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
+        width = (bits + min(len(a), len(b)).bit_length() + 2 + 7) // 8
+        n = len(a) + len(b) - 1
+        coeffs = _unpack(_pack(a, width) * _pack(b, width), n, width)
+        out[:n] = [*map(add, out, coeffs), *coeffs[len(out) :]]
+        return out
     if a and b:
         out.extend([0] * (len(a) + len(b) - 1 - len(out)))
         for i, x in enumerate(a):

@@ -65,6 +65,9 @@ class NormExp:
     def __setattr__(self, name, value):
         raise AttributeError("NormExp is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.exp,)
+
     def is_neg_inf(self) -> bool:
         return self.exp is None
 
@@ -120,12 +123,20 @@ class _Ring:
     immutability, subtraction through negation and powers by squaring.
     A subclass provides ``_check`` (an operand of the ring, or None),
     ``+``, unary ``-``, ``*``, ``one(p, var)`` and the message
-    ``_NEGATIVE_POWER``."""
+    ``_NEGATIVE_POWER``.  Copies and pickles are rebuilt slot by slot
+    through the slot descriptors, as the kernel's trusted constructors
+    build values, so no slot (the truncation tag of an operator
+    included) is lost or checked again."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        cls = type(self)
+        names = [name for k in cls.__mro__ for name in k.__dict__.get("__slots__", ())]
+        return _rebuild, (cls, {name: getattr(self, name) for name in names})
 
     def __sub__(self, other):
         o = self._check(other)
@@ -151,6 +162,14 @@ class _Ring:
             if exp:
                 base = base * base
         return out
+
+
+def _rebuild(cls, slots: dict):
+    """The value of a ``_Ring`` class cls with the given slot values."""
+    obj = object.__new__(cls)
+    for name, value in slots.items():
+        getattr(cls, name).__set__(obj, value)
+    return obj
 
 
 def _fraction_valuation(n: int, p: int) -> int:
@@ -183,6 +202,9 @@ class PAdicScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("PAdicScalar is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.value, self.p)
 
     # constructors
 

@@ -391,6 +391,9 @@ class ConnectionMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ConnectionMatrix is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.entries, self.p, self.var)
+
     def sup_norm(self) -> NormExp:
         return NormExp(
             max((f._gauss_exp() for row in self.entries for f in row if f.num), default=None)

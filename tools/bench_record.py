@@ -14,16 +14,18 @@ line count of each side.  An existing ``--out`` file of the same two
 revisions keeps the workloads this run does not measure.
 
 The file also holds the hard-case ladder, ``hard_ladder``: a list of
-rungs, each an inversion run three times per revision in alternating
-order, each run in a fresh process capped at 60 s.  The first rungs are
-the inversion workload's hard operator (``HARD_INVERT`` through
-``hard_invert_operator`` of each checkout's ``perfbench/workloads.py``, at
-p = 2, k = 2, r = 1) at eps -24, -36, -48 and -96; the last is ``SEED71_UNIT``
-below at p = 7, k = r = 1, eps -14.  A run is the seconds ``micro_invert``
-took, or ``"timeout"`` when the process hit the cap; each rung records
-every run and their median, a timeout counting as slower than any time.
-Single runs of the -48 rung took 12.8 and 16.6 s on one tree, too wide a
-spread to show a gain below about 25%.
+rungs, each run three times per revision in alternating order, each run
+in a fresh process capped at 60 s.  The first rungs invert the inversion
+workload's hard operator (``HARD_INVERT`` through ``hard_invert_operator``
+of each checkout's ``perfbench/workloads.py``, at p = 2, k = 2, r = 1) at
+eps -24, -36, -48 and -96; the next inverts ``SEED71_UNIT`` below at
+p = 7, k = r = 1, eps -14; the last, ``DENSE_POWER``, raises x + 1 to the
+power 2000 at p = 2, the dense polynomial product at large degree.  A run
+is the seconds ``micro_invert`` or the power took, or ``"timeout"`` when
+the process hit the cap; each rung records every run and their median, a
+timeout counting as slower than any time.  In ``BENCH_16.json`` the
+three runs of the -48 rung on each tree spread from 1.91 to 2.16 s
+around medians of 1.96 and 1.98 s, about 13% of the median.
 """
 
 from __future__ import annotations
@@ -52,26 +54,34 @@ SEED71_UNIT = (
     " - (2470629/8*x^2 - 16807*x - 1294139/8)*d^2 + (2401*x^2 - 1715)"
     " - (2401/5*x - 1029/8)*d^-1 - (539/5*x^3 - 343*x^2 - 7*x + 343)*d^-2"
 )
-# the rungs: name, operator text ("" for the benchmark's hard operator), p, k, r, eps
+# the rungs: name, operator text ("" for the benchmark's hard operator) and the
+# levels p, k, r, eps of an inversion; or name, base text and p, exponent of a power
 LADDER = (
-    ("HARD_INVERT", "", 2, 2, 1, -24),
-    ("HARD_INVERT", "", 2, 2, 1, -36),
-    ("HARD_INVERT", "", 2, 2, 1, -48),
-    ("HARD_INVERT", "", 2, 2, 1, -96),
-    ("SEED71_UNIT", SEED71_UNIT, 7, 1, 1, -14),
+    ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -24}),
+    ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -36}),
+    ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -48}),
+    ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -96}),
+    ("SEED71_UNIT", SEED71_UNIT, {"p": 7, "k": 1, "r": 1, "eps": -14}),
+    ("DENSE_POWER", "x + 1", {"p": 2, "exponent": 2000}),
 )
 LADDER_CAP_S = 60
 LADDER_REPEATS = 3
-# one rung, run from the root of a checkout with text, p, k, r and eps as arguments
+# one rung, run from the root of a checkout with the text and the levels of
+# LADDER as arguments; it times the inversion or the power alone
 RUNG = """import sys, time
 sys.path[:0] = ["src", "perfbench"]
 from workloads import hard_invert_operator
 from padicdx import micro_invert
 from padicdx.opparse import parse, to_micro_op
-text, (p, k, r, eps) = sys.argv[1], map(int, sys.argv[2:])
+text, (p, *levels) = sys.argv[1], map(int, sys.argv[2:])
 S = to_micro_op(parse(text, micro=True), p) if text else hard_invert_operator()
-start = time.perf_counter()
-micro_invert(S, k, r, eps)
+if len(levels) == 1:
+    base = S.coeffs[0]
+    start = time.perf_counter()
+    base ** levels[0]
+else:
+    start = time.perf_counter()
+    micro_invert(S, *levels)
 print(time.perf_counter() - start)
 """
 
@@ -102,9 +112,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             **{k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def rung(checkout: Path, text: str, *levels: int):
+def rung(checkout: Path, text: str, levels: dict):
     try:
-        proc = subprocess.run([sys.executable, "-c", RUNG, text, *map(str, levels)],
+        proc = subprocess.run([sys.executable, "-c", RUNG, text, *map(str, levels.values())],
                               cwd=checkout, capture_output=True, text=True,
                               timeout=LADDER_CAP_S, check=True)
     except subprocess.TimeoutExpired:
@@ -157,14 +167,14 @@ def main(argv=None) -> int:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         rungs = []
-        for name, text, *levels in LADDER:
+        for name, text, levels in LADDER:
             runs = {"parent": [], "change": []}
             for i in range(LADDER_REPEATS):
                 for side in sides(i):
-                    runs[side].append(rung(trees[side], text, *levels))
+                    runs[side].append(rung(trees[side], text, levels))
                     print("ladder", name, levels, side, runs[side][-1], file=sys.stderr,
                           flush=True)
-            rungs.append({"operator": name, **dict(zip(("p", "k", "r", "eps"), levels)),
+            rungs.append({"operator": name, **levels,
                           **{side: {"median": ladder_median(values), "runs": values}
                              for side, values in runs.items()}})
         doc["hard_ladder"] = {"cap_s": LADDER_CAP_S, "repeats": LADDER_REPEATS,
