@@ -23,9 +23,9 @@ p = 7, k = r = 1, eps -14; the last, ``DENSE_POWER``, raises x + 1 to the
 power 2000 at p = 2, the dense polynomial product at large degree.  A run
 is the seconds ``micro_invert`` or the power took, or ``"timeout"`` when
 the process hit the cap; each rung records every run and their median, a
-timeout counting as slower than any time.  In ``BENCH_16.json`` the
-three runs of the -48 rung on each tree spread from 1.91 to 2.16 s
-around medians of 1.96 and 1.98 s, about 13% of the median.
+timeout counting as slower than any time.  In ``BENCH_17.json`` the
+three runs of the -48 rung spread from 1.25 to 1.30 s on the parent and
+from 0.73 to 0.81 s on the change, at most 11% of their medians.
 """
 
 from __future__ import annotations
