@@ -22,18 +22,22 @@ The only truncated computation in the module is inversion
 (:func:`micro_invert`).  It factors S = (1 + R) s_q d^q around the
 dominant term, so the inverse of s_q multiplies the geometric series on
 the left, as a function, and walks no derivative chain.  Each product on
-the way is a short product: ``leibniz_product`` with a floor computes only
-the powers of the derivation that can reach the cutoff and returns exactly
-what :meth:`MicroOp.truncate_below` would keep of the full product.  The
-inversion then rounds each kept coefficient to its cutoff (``_short``):
-it keeps a denominator that is a power of p and a numerator of about as
-many p-adic digits as the cutoff needs, changes no monomial's norm, and
-moves the product by less than the cutoff.  This is the capped-precision
-model of Caruso, Roe and Vaccon, "Tracking p-adic precision" (2014);
-exact series coefficients would grow to hundreds of bits.  The cutoffs
-are derived so that one pass reaches the target: the inverse is cut at
-eps - max(0, |S|), and its residual |S*T - 1| is recomputed from the
-exact, unrounded product S*T; a miss raises ``PrecisionNotReached``.
+the way is a short product: ``leibniz_product`` with a floor stops each
+derivative chain at its first term below the cutoff and skips the trailing
+entries whose products all fall below it, so it keeps the monomials
+:meth:`MicroOp.truncate_below` would keep of the full product, at the same
+norms, and differs from it by less than the cutoff.  The inversion then
+rounds each kept coefficient to its cutoff (``_short``): it keeps a
+denominator that is a power of p and a numerator of about as many p-adic
+digits as the cutoff needs, changes no monomial's norm, and moves the
+product by less than the cutoff; what the short product skipped is
+below what that rounding keeps, so the rounded result is that of the
+exact truncated product.  This is the capped-precision model of Caruso,
+Roe and Vaccon, "Tracking p-adic precision" (2014); exact series
+coefficients would grow to hundreds of bits.  The cutoffs are derived so
+that one pass reaches the target: the inverse is cut at eps - max(0, |S|),
+and its residual |S*T - 1| is recomputed from the exact, unrounded
+product S*T; a miss raises ``PrecisionNotReached``.
 """
 
 from __future__ import annotations

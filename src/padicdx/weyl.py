@@ -28,6 +28,7 @@ from itertools import zip_longest
 from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
 from .residue import _format_terms, _mul_into
 from .scalars import NormExp, PAdicScalar, _Ring
+from .scalars import _fraction_valuation as _val
 from .tatepoly import TatePoly, _canon, _keep_above
 
 
@@ -59,61 +60,69 @@ def weight(n: int, k: int, r: int) -> int:
 def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> dict:
     """The {power: TatePoly} map of (sum b_m d^m) * (sum c_n d^n), by
     d^m c = sum_j C(m, j) c^(j) d^(m-j): up to j = m for m >= 0, else up to
-    the degree of c.  Each side goes over the lcm of its denominators; per
-    b_m the scaled derivatives are summed for each output power on integer
-    lists, then multiplied by b_m once into its row by ``_mul_into``.
+    the degree of c.  Each side goes over the lcm of its denominators.  The
+    derivative chain of each c_n is built once, as far as some b_m needs
+    it; per b_m its scaled terms are summed for each output power on
+    integer lists, then multiplied by b_m once into its row by
+    ``_mul_into``.
 
-    With ``floor=(k, r, cutoff)`` this is the short product: the result is
-    exactly ``truncate_below(k, r, cutoff)`` of the full product.  Every
-    term of the output power n has Gauss norm at most max|b_m| + max|c_n|
-    (the binomials are integers and derivatives do not raise the Gauss
-    norm), so no power whose weight(n, k, r) puts that bound below the
-    cutoff is computed: each derivative chain stops at the lowest power
-    that can reach it, and pairs wholly below it are skipped.  The powers
-    kept are computed in full, then their monomials below the cutoff are
-    dropped."""
+    With ``floor=(k, r, cutoff)`` this is the short product: at each power
+    n it keeps the monomials of ``truncate_below(k, r, cutoff)`` of the
+    full product, at the same valuations, and differs from it by norm
+    below p^(cutoff - weight(n, k, r)).  Write c^(j) = j! c^[j]; the divided
+    derivative c^[j] has integer-binomial coefficients, so with Legendre's
+    formula for v_p(j!) the term C(m, j) b_m c_n^(j) has Gauss norm exponent
+    at most |b_m| + |c_n| - v_p(j!).  That plus the weight of its power
+    m + n - j falls as j grows, so the chain of each pair stops at its
+    first term below the cutoff.  Before each product, trailing entries of
+    the sum are dropped while their norm exponent plus |b_m| and the weight
+    is below the cutoff.  Everything skipped is below the cutoff, so by the
+    ultrametric inequality no kept monomial changes its norm; the rows are
+    then cut at the cutoff."""
     lden = math.lcm(*(b.den for b in left.values()))
     rden = math.lcm(*(c.den for c in right.values()))
-    # each coefficient over the common denominator, as integer numerators
-    scaled = {}
-    for n, c in right.items():
-        scaled[n] = c.num if c.den == rden else [a * (rden // c.den) for a in c.num]
-    if floor is None:
-        lowest = -math.inf
-    else:
+    short = floor is not None
+    if short:
         if not left or not right:
             return {}
         k, r, cutoff = floor
-        # operators store no zero coefficient
-        top = max(b._gauss_exp() for b in left.values()) + max(
-            c._gauss_exp() for c in right.values()
-        )
-        # the least power n with top + weight(n, k, r) >= cutoff
-        need = cutoff - top
-        lowest = -(-need // (k if need > 0 else r))
-    out: dict[int, list] = {}
-    for m, b in left.items():
-        bm = b.num if b.den == lden else [a * (lden // b.den) for a in b.num]
-        sums: dict[int, list] = {}
-        # chain steps j: to m for m >= 0, to deg c, and while the output
-        # power m + n - j stays at or above the lowest
-        cap = m + 1 if m >= 0 else math.inf
-        reach = m + 1 - lowest
-        for n, der in scaled.items():
-            steps = len(der) if len(der) < cap else cap
-            if reach + n < steps:
-                steps = reach + n
-            for j in range(steps):
-                if j:
-                    der = [i * a for i, a in enumerate(der[1:], 1)]
-                coef = _gbinom(m, j)
+        # the norm exponent of an entry a of a sum is vr - v_p(a)
+        vr = _val(rden, p)
+        vfact = [0]
+        for j in range(1, max(len(c.num) for c in right.values())):
+            vfact.append(vfact[-1] + _val(j, p))
+    # per b_m: its power, its norm exponent and its sums by output power
+    rows = [(m, b._gauss_exp() if short else 0, {}) for m, b in left.items()]
+    for n, c in right.items():
+        chain = [c.num if c.den == rden else [a * (rden // c.den) for a in c.num]]
+        cexp = c._gauss_exp() if short else 0
+        for m, bexp, sums in rows:
+            for j in range(m + 1 if 0 <= m < len(chain[0]) else len(chain[0])):
                 key = m + n - j
-                acc = sums.get(key, ())
-                sums[key] = [x + coef * y for x, y in zip_longest(acc, der, fillvalue=0)]
+                if short and bexp + cexp - vfact[j] + weight(key, k, r) < cutoff:
+                    break
+                if j == len(chain):
+                    chain.append([i * a for i, a in enumerate(chain[-1][1:], 1)])
+                coef = _gbinom(m, j)
+                acc = sums.get(key)
+                if acc is None:
+                    sums[key] = [coef * y for y in chain[j]]
+                else:
+                    sums[key] = [x + coef * y for x, y in zip_longest(acc, chain[j], fillvalue=0)]
+    out: dict[int, list] = {}
+    for (m, bexp, sums), b in zip(rows, left.values()):
+        bm = b.num if b.den == lden else [a * (lden // b.den) for a in b.num]
         for key, s in sums.items():
+            if short:
+                # every product of an entry of valuation above lim is below the cutoff
+                lim = vr + bexp + weight(key, k, r) - cutoff
+                while s and (not s[-1] or _val(s[-1], p) > lim):
+                    s.pop()
+                if not s:
+                    continue
             _mul_into(out.setdefault(key, []), bm, s)
     den = lden * rden
-    if floor is not None:
+    if short:
         for key, row in out.items():
             out[key] = _keep_above(row, den, p, cutoff - weight(key, k, r))
     return {key: _canon(out.pop(key), den, p, var) for key in list(out)}

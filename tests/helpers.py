@@ -281,6 +281,29 @@ def frac_op_norm(A: dict, p: int, k: int, r: int):
     )
 
 
+def frac_round_short(A: dict, p: int, k: int, r: int, cutoff: int) -> dict:
+    """The {power: Fraction list} map A cut below the (k, r) cutoff, each
+    kept row rounded as ``micro._short`` documents it: with v the larger of
+    0 and the row's Gauss exponent and c = cutoff - weight(n, k, r), a
+    coefficient x becomes A / p^v for the balanced residue
+    -p^(v-c+1)/2 < A <= p^(v-c+1)/2 of x p^v modulo p^(v-c+1)."""
+    out = {}
+    for n, row in A.items():
+        c = cutoff - (k if n >= 0 else r) * n
+        kept = frac_drop_below(row, p, c)
+        if not kept:
+            continue
+        v = max(0, frac_gauss_exp(kept, p))
+        mod = p ** (v - c + 1)
+        rounded = []
+        for x in kept:
+            y = x * p**v
+            a = y.numerator * pow(y.denominator, -1, mod) % mod
+            rounded.append(Fraction(a - mod if a > mod // 2 else a, p**v))
+        out[n] = rounded
+    return out
+
+
 def frac_compose_linear(a, shift, stretch) -> list:
     acc: list = []
     for c in reversed(a):

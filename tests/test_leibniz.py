@@ -1,5 +1,6 @@
 """The shared Leibniz kernel against the per-term oracle in helpers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,16 @@ from hypothesis import strategies as st
 from padicdx import DiffOp, MicroOp, NormExp, TatePoly
 from padicdx.micro import _short
 from padicdx.weyl import _gbinom, leibniz_product, weight
-from helpers import falling_binom, leibniz_oracle
+from helpers import (
+    falling_binom,
+    frac_derivative,
+    frac_gauss_exp,
+    frac_op,
+    frac_op_mul,
+    frac_round_short,
+    leibniz_oracle,
+    loop_valuation,
+)
 
 PRIMES = [2, 3, 5, 7]
 LEVELS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
@@ -64,21 +74,42 @@ def test_diffop_product_against_oracle(p, data):
     assert MicroOp.from_diffop(P) * MicroOp.from_diffop(Q) == MicroOp.from_diffop(PQ)
 
 
-@settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from([2, 3, 5]), levels=st.sampled_from(LEVELS), data=st.data())
-def test_short_product_against_truncated_oracle(p, levels, data):
-    k, r = levels
+def _assert_within_cutoff(got: dict, want: dict, p, k, r, cutoff):
+    """At every power n, got has the monomials of want at the same
+    valuations and differs from it by norm below p^(cutoff - weight)."""
+    assert sorted(got) == sorted(want)
+    for n, c in got.items():
+        exact = want[n]
+        assert (c - exact).gauss_norm() < NormExp(cutoff - weight(n, k, r))
+        assert len(c.num) == len(exact.num)
+        for i in range(len(c.num)):
+            a, b = c.coefficient(i), exact.coefficient(i)
+            assert a.is_zero() == b.is_zero() and a.valuation() == b.valuation()
+
+
+def _operands_and_cutoff(p, k, r, data):
+    """Two Laurent operators, their exact product by the oracle and a
+    cutoff above the norm of the product, inside its range of monomial
+    norms or below all of them."""
     A = MicroOp(_coeffs(data, p, -4, 4, "A"), p)
     B = MicroOp(_coeffs(data, p, -4, 4, "B"), p)
     full = MicroOp(leibniz_oracle(A.coeffs, B.coeffs, p, "x"), p)
-    assert MicroOp(leibniz_product(A.coeffs, B.coeffs, p, "x"), p) == full
-    # cutoffs above the norm of the product, inside its range of monomial
-    # norms, and below all of them
     top = full.norm(k, r)
     top = 0 if top.is_neg_inf() else top.exp
-    cutoff = data.draw(st.integers(top - 40, top + 4), label="cutoff")
+    return A, B, full, data.draw(st.integers(top - 40, top + 4), label="cutoff")
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), levels=st.sampled_from(LEVELS), data=st.data())
+def test_short_product_against_truncated_oracle(p, levels, data):
+    # the floored kernel skips only terms below the cutoff: it keeps the
+    # monomials of the truncated exact product, within the cutoff
+    k, r = levels
+    A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
+    assert MicroOp(leibniz_product(A.coeffs, B.coeffs, p, "x"), p) == full
     short = leibniz_product(A.coeffs, B.coeffs, p, "x", floor=(k, r, cutoff))
-    assert MicroOp(short, p) == full.truncate_below(k, r, cutoff)
+    want = full.truncate_below(k, r, cutoff).coeffs
+    _assert_within_cutoff(MicroOp(short, p).coeffs, want, p, k, r, cutoff)
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,28 +119,48 @@ def test_rounded_short_product_against_truncated_oracle(p, levels, data):
     # power it stays within the cutoff of the truncated exact product,
     # with the same monomials at the same valuations
     k, r = levels
-    A = MicroOp(_coeffs(data, p, -4, 4, "A"), p)
-    B = MicroOp(_coeffs(data, p, -4, 4, "B"), p)
-    full = MicroOp(leibniz_oracle(A.coeffs, B.coeffs, p, "x"), p)
-    top = full.norm(k, r)
-    top = 0 if top.is_neg_inf() else top.exp
-    cutoff = data.draw(st.integers(top - 40, top + 4), label="cutoff")
-    want = full.truncate_below(k, r, cutoff).coeffs
+    A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
     got = _short(A, B, k, r, cutoff).coeffs
-    assert sorted(got) == sorted(want)
-    for n, c in got.items():
-        exact = want[n]
-        assert (c - exact).gauss_norm() < NormExp(cutoff - weight(n, k, r))
-        assert len(c.num) == len(exact.num)
-        for i in range(len(c.num)):
-            a, b = c.coefficient(i), exact.coefficient(i)
-            assert a.is_zero() == b.is_zero() and a.valuation() == b.valuation()
+    _assert_within_cutoff(got, full.truncate_below(k, r, cutoff).coeffs, p, k, r, cutoff)
+    for c in got.values():
         # canonical form, over a power of p
         assert c == TatePoly([Fraction(a, c.den) for a in c.num], p)
         den = c.den
         while den % p == 0:
             den //= p
         assert den == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), levels=st.sampled_from(LEVELS), data=st.data())
+def test_rounded_short_product_is_the_rounded_exact_product(p, levels, data):
+    # what the kernel skips is below the cutoff, so the rounding of
+    # micro._short cannot see it: the result is the balanced rounding of
+    # the exact truncated product, computed on Fractions alone
+    k, r = levels
+    A, B, _, cutoff = _operands_and_cutoff(p, k, r, data)
+    exact = frac_op_mul(frac_op(A.coeffs), frac_op(B.coeffs))
+    want = frac_round_short(exact, p, k, r, cutoff)
+    assert frac_op(_short(A, B, k, r, cutoff).coeffs) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    c=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=40).filter(any),
+    scale=st.integers(-4, 4),
+    j=st.integers(0, 45),
+)
+def test_derivatives_shrink_by_the_valuation_of_j_factorial(p, c, scale, j):
+    # the bound the short product skips by: c^(j) = j! c^[j] with c^[j] of
+    # integer-binomial coefficients, so |c^(j)| <= |c| - v_p(j!) (Legendre)
+    c = [Fraction(a) * Fraction(p) ** scale for a in c]
+    der = c
+    for _ in range(j):
+        der = frac_derivative(der)
+    if der:
+        vfact = loop_valuation(math.factorial(j), p)
+        assert frac_gauss_exp(der, p) <= frac_gauss_exp(c, p) - vfact
 
 
 @settings(max_examples=30, deadline=None)
