@@ -74,7 +74,7 @@ def test_diffop_product_against_oracle(p, data):
     assert MicroOp.from_diffop(P) * MicroOp.from_diffop(Q) == MicroOp.from_diffop(PQ)
 
 
-def _assert_within_cutoff(got: dict, want: dict, p, k, r, cutoff):
+def _assert_within_cutoff(got: dict, want: dict, k, r, cutoff):
     """At every power n, got has the monomials of want at the same
     valuations and differs from it by norm below p^(cutoff - weight)."""
     assert sorted(got) == sorted(want)
@@ -109,7 +109,7 @@ def test_short_product_against_truncated_oracle(p, levels, data):
     assert MicroOp(leibniz_product(A.coeffs, B.coeffs, p, "x"), p) == full
     short = leibniz_product(A.coeffs, B.coeffs, p, "x", floor=(k, r, cutoff))
     want = full.truncate_below(k, r, cutoff).coeffs
-    _assert_within_cutoff(MicroOp(short, p).coeffs, want, p, k, r, cutoff)
+    _assert_within_cutoff(MicroOp(short, p).coeffs, want, k, r, cutoff)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,7 +121,7 @@ def test_rounded_short_product_against_truncated_oracle(p, levels, data):
     k, r = levels
     A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
     got = _short(A, B, k, r, cutoff).coeffs
-    _assert_within_cutoff(got, full.truncate_below(k, r, cutoff).coeffs, p, k, r, cutoff)
+    _assert_within_cutoff(got, full.truncate_below(k, r, cutoff).coeffs, k, r, cutoff)
     for c in got.values():
         # canonical form, over a power of p
         assert c == TatePoly([Fraction(a, c.den) for a in c.num], p)
