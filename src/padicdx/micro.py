@@ -54,7 +54,7 @@ from .errors import (
 from .residue import ResiduePoly
 from .scalars import NormExp, PAdicScalar
 from .scalars import _fraction_valuation as _val
-from .tatepoly import TatePoly, _as_exp, _make
+from .tatepoly import TatePoly, _as_exp, _canon, _make
 from .weyl import DiffOp, _Operator, leibniz_product, weight
 
 
@@ -333,7 +333,13 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
         acc = acc + power
     inner = eps_exp - max(0, norm_s + weight(-q, k, r))
     T = _short(d_inv, _short(g, acc, k, r, inner), k, r, outer)
-    rho = (S * T - 1).norm(k, r)
+    # S*T - 1: the exact product with 1 taken off its power-0 coefficient
+    table = leibniz_product(S.coeffs, T.coeffs, p, var)
+    c = table.get(0)
+    num, den = (list(c.num), c.den) if c else ([0], 1)
+    num[0] -= den
+    table[0] = _canon(num, den, p, var)
+    rho = MicroOp._of(table, p, var).norm(k, r)
     if not rho < NormExp(eps_exp):
         raise PrecisionNotReached(f"no inverse within p^{eps_exp}: residual {rho}")
     return T, rho

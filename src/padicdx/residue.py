@@ -20,6 +20,7 @@ Subtraction, powers and immutability come from ``padicdx.scalars._Ring``.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -114,22 +115,35 @@ def _sub(a, b, p: int) -> list:
 # the least length of both operands at which _mul_into packs: the
 # measured crossover of the two paths on equal lengths (CHANGES.md)
 _PACK_MIN = 13
+# the struct formats of the slot widths _pack and _unpack convert in one call
+_SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _pack(a, width: int) -> int:
     """The int with the entries of a in its width-byte slots, lowest first:
-    each slot is written as unsigned bytes holding its entry plus half its
-    range, and that bias is then taken off the whole int."""
+    each slot holds its entry plus half its range, a bias then taken off
+    the whole int.  Slots of 1, 2, 4 or 8 bytes are written in two's
+    complement by one ``struct.pack`` and biased by an XOR with ``top``,
+    the top bit of every slot; wider ones are written biased, one by one."""
     half = 1 << (8 * width - 1)
-    biased = int.from_bytes(b"".join([(x + half).to_bytes(width, "little") for x in a]), "little")
-    return biased - int.from_bytes(half.to_bytes(width, "little") * len(a), "little")
+    top = int.from_bytes(half.to_bytes(width, "little") * len(a), "little")
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt:
+        return (int.from_bytes(struct.pack(f"<{len(a)}{fmt}", *a), "little") ^ top) - top
+    biased = b"".join([(x + half).to_bytes(width, "little") for x in a])
+    return int.from_bytes(biased, "little") - top
 
 
-def _unpack(c: int, n: int, width: int) -> list:
+def _unpack(c: int, n: int, width: int) -> list | tuple:
     """The entries of the n width-byte slots of c, the inverse of _pack
-    when each entry is less than half a slot's range in size."""
+    when each entry is less than half a slot's range in size; slots of 1,
+    2, 4 or 8 bytes are read by one ``struct.unpack``."""
     half = 1 << (8 * width - 1)
-    c += int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    top = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    c += top
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt:
+        return struct.unpack(f"<{n}{fmt}", (c ^ top).to_bytes(n * width, "little"))
     buf = c.to_bytes(n * width, "little")
     from_bytes = int.from_bytes
     return [from_bytes(buf[i : i + width], "little") - half for i in range(0, n * width, width)]
@@ -146,12 +160,17 @@ def _mul_into(out: list, a, b) -> list:
     are multiplied once, and the slots of that product are the
     coefficients.  A coefficient is at most min(len)·max|a|·max|b| in
     size, so w, the whole bytes above bits(max|a|) + bits(max|b|) +
-    bits(min(len)) + 2, holds it and its sign."""
+    bits(min(len)) + 2, holds it and its sign.  Up to 8 bytes, w is
+    rounded up to a power of two, so that one ``struct`` call converts
+    all the slots of a list; rounding only to the next one keeps the
+    product of long narrow lists from growing."""
     # the packed path is in helpers: a comprehension here would make its
     # names cells, created on every call, short ones included
     if len(a) >= _PACK_MIN and len(b) >= _PACK_MIN:
         bits = max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
         width = (bits + min(len(a), len(b)).bit_length() + 2 + 7) // 8
+        if width <= 8:
+            width = 1 << (width - 1).bit_length()
         n = len(a) + len(b) - 1
         coeffs = _unpack(_pack(a, width) * _pack(b, width), n, width)
         out[:n] = [*map(add, out, coeffs), *coeffs[len(out) :]]

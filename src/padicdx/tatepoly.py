@@ -203,8 +203,10 @@ class TatePoly(_DensePoly):
 
     def _gauss_exp(self) -> int:
         """The Gauss norm exponent as a plain int.  Only for a nonzero
-        polynomial: the gcd of no numerators is 0, which has no valuation."""
-        return _val(self.den, self.p) - _val(gcd(*self.num), self.p)
+        polynomial: the gcd of no numerators is 0, which has no valuation.
+        In canonical form gcd(den, *num) is 1, so when p divides den it
+        divides no gcd of the numerators and v_p(den) is the exponent."""
+        return _val(self.den, self.p) or -_val(gcd(*self.num), self.p)
 
     def normalize(self) -> tuple["TatePoly", int]:
         """Split off the power of the uniformizer reaching Gauss norm one.

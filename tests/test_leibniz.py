@@ -144,6 +144,19 @@ def test_rounded_short_product_is_the_rounded_exact_product(p, levels, data):
     assert frac_op(_short(A, B, k, r, cutoff).coeffs) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), levels=st.sampled_from(LEVELS), data=st.data())
+def test_gauss_exponent_is_the_largest_coefficient_norm(p, levels, data):
+    # TatePoly._gauss_exp takes v_p(den) alone when p divides den, which
+    # holds in canonical form only: check it on checked rows, on exact
+    # products and on the rows micro._short builds without _canon
+    k, r = levels
+    A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
+    for op in (A, B, full, _short(A, B, k, r, cutoff)):
+        for c in op.coeffs.values():
+            assert c._gauss_exp() == frac_gauss_exp([Fraction(a, c.den) for a in c.num], p)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     p=st.sampled_from(PRIMES),

@@ -19,9 +19,12 @@ in a fresh process capped at 60 s.  The first rungs invert the inversion
 workload's hard operator (``HARD_INVERT`` through ``hard_invert_operator``
 of each checkout's ``perfbench/workloads.py``, at p = 2, k = 2, r = 1) at
 eps -24, -36, -48 and -96; the next inverts ``SEED71_UNIT`` below at
-p = 7, k = r = 1, eps -14; the last, ``DENSE_POWER``, raises x + 1 to the
-power 2000 at p = 2, the dense polynomial product at large degree.  A run
-is the seconds ``micro_invert`` or the power took, or ``"timeout"`` when
+p = 7, k = r = 1, eps -14; ``DENSE_POWER`` raises x + 1 to the power 2000
+at p = 2, the dense polynomial product at large degree and with wide
+coefficients; the last, ``NARROW_SQUARE``, squares 7 times the sum of x^i
+for i < 1000 at p = 2, one product of two long lists of narrow entries,
+whose 3-byte slots ``_mul_into`` rounds up to 4 bytes.  A run is the
+seconds ``micro_invert`` or the power took, or ``"timeout"`` when
 the process hit the cap; each rung records every run and their median, a
 timeout counting as slower than any time.  In ``BENCH_17.json`` the
 three runs of the -48 rung spread from 1.25 to 1.30 s on the parent and
@@ -63,6 +66,7 @@ LADDER = (
     ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -96}),
     ("SEED71_UNIT", SEED71_UNIT, {"p": 7, "k": 1, "r": 1, "eps": -14}),
     ("DENSE_POWER", "x + 1", {"p": 2, "exponent": 2000}),
+    ("NARROW_SQUARE", " + ".join(f"7*x^{i}" for i in range(1000)), {"p": 2, "exponent": 2}),
 )
 LADDER_CAP_S = 60
 LADDER_REPEATS = 3
