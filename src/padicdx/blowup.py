@@ -140,11 +140,12 @@ def support_on_blowup(
     """Support points of the cyclic module on the blow-up, per chart."""
     P._require_finite("support undecidable for a truncated operator", "zero operator")
     base_norm, _ = P.leading_coefficient().normalize()
-    return _chart_points(P, B, base_norm.reduce().factor())
+    return _chart_points(P, B, base_norm.reduce().factor())[0]
 
 
-def _chart_points(P: DiffOp, B: BlowupModel, base_factors) -> list[tuple[ChartPoint, int]]:
-    """support_on_blowup, given the factors of the base reduction."""
+def _chart_points(P: DiffOp, B: BlowupModel, base_factors) -> tuple[list, TatePoly]:
+    """support_on_blowup, given the factors of the base reduction, and the
+    leading coefficient of P pulled to the inner chart."""
     p = P.p
     lead = P.leading_coefficient()
     out: list[tuple[ChartPoint, int]] = []
@@ -176,7 +177,7 @@ def _chart_points(P: DiffOp, B: BlowupModel, base_factors) -> list[tuple[ChartPo
         )
         out.append((ChartPoint(Chart.CROSSING, origin), crossing_mult))
 
-    return sorted(out, key=lambda pm: pm[0].sort_key())
+    return sorted(out, key=lambda pm: pm[0].sort_key()), pulled
 
 
 def fiber_sum_check(P: DiffOp, B: BlowupModel) -> bool:
@@ -192,12 +193,18 @@ def fiber_sum_check(P: DiffOp, B: BlowupModel) -> bool:
 
 def _fiber_report(P: DiffOp, B: BlowupModel) -> tuple:
     """fiber_sum_check's verdict, the base and blow-up supports and whether
-    transport keeps the degree in the derivation, factoring once per chart."""
+    transport keeps the degree in the derivation, factoring once per chart.
+
+    That degree is read off the leading coefficient alone, as pulled by
+    ``_chart_points``: ``pull_operator_u1(P, B, B.m)`` pulls each
+    coefficient by x = c + pi^m * t and scales it by a power of pi, which
+    sends nonzero polynomials to nonzero ones, so it keeps the degree of P
+    exactly when the pulled leading coefficient is nonzero."""
     if P.is_zero():
         raise ZeroOperator("zero operator")
     base = infinite_support(P)
-    above = _chart_points(P, B, [(pt.minimal_poly, mult) for pt, mult in base.points])
-    m0_preserved = pull_operator_u1(P, B, B.m).degree() == P.degree()
+    above, pulled = _chart_points(P, B, [(pt.minimal_poly, mult) for pt, mult in base.points])
+    m0_preserved = not pulled.is_zero()
     center_red = B.center.reduce_mod_pi().value
     center_poly = ResiduePoly((-center_red, 1), P.p, P.leading_coefficient().var)
     base_at_center = 0

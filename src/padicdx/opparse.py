@@ -34,7 +34,8 @@ from .errors import (
     ParseError,
 )
 from .micro import MicroOp
-from .tatepoly import TatePoly
+from .scalars import is_prime
+from .tatepoly import TatePoly, _make
 from .weyl import DiffOp
 
 VARIABLES = ("x", "t", "u")
@@ -407,8 +408,11 @@ class _Normalizer:
                 self.var = base.name
             elif self.var != base.name:
                 raise MixedVariables(f"expression mixes {self.var!r} and {base.name!r}")
-            # the monomial: degree n <= MAX_DEGREE and size 2n <= MAX_BITS
-            return TatePoly([0] * n + [1], p, base.name)
+            # the monomial: degree n <= MAX_DEGREE and size 2n <= MAX_BITS,
+            # built canonical with the one prime check TatePoly would make
+            if not is_prime(p):
+                raise ValueError(f"{p} is not a prime")
+            return _make((0,) * n + (1,), 1, p, base.name)
         value = self.eval(base)
         coeffs = [value] if isinstance(value, TatePoly) else value.coeffs.values()
         degree = max((c.degree() for c in coeffs), default=0)

@@ -6,7 +6,12 @@ sequence is the zero polynomial.  Each algorithm exists once, as a module
 function on plain lists; :class:`ResiduePoly` checks operands and wraps
 results.  Factoring follows von zur Gathen and Gerhard, *Modern Computer
 Algebra*, ch. 14: square-free, distinct-degree and equal-degree
-(Cantor-Zassenhaus) splitting.  Every dense integer product of the
+splitting.  Equal-degree splitting finds linear factors over a field of
+at most ``_SCAN_MAX`` elements as roots, by evaluating at every element;
+otherwise it draws Cantor-Zassenhaus splits from a generator seeded with
+``_EDF_SEED`` on the first draw of each factorization, so the output is
+deterministic and a factorization that draws nothing seeds nothing.
+Every dense integer product of the
 package is the one routine ``_mul_into``: schoolbook on short lists and
 Kronecker substitution, one product of two large ints, from
 ``_PACK_MIN`` entries on both sides.  Remainders are schoolbook.
@@ -23,13 +28,17 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from functools import cache, partial
+from itertools import islice, zip_longest
 from operator import add
 
 from .errors import MixedPrimes, MixedVariables, ZeroInput
 from .scalars import _Ring, is_prime
 
 _EDF_SEED = 0x5EED
+# the largest p at which equal-degree splitting finds linear factors by
+# evaluation: the measured crossover with random splits (CHANGES.md)
+_SCAN_MAX = 500
 
 
 @dataclass(frozen=True)
@@ -230,6 +239,14 @@ def _pow_mod(a, exp: int, f, p: int) -> list:
     return out
 
 
+def _value(a, c: int, p: int) -> int:
+    """a(c) mod p, by Horner's rule."""
+    v = 0
+    for coeff in reversed(a):
+        v = (v * c + coeff) % p
+    return v
+
+
 def _derivative(a, p: int) -> list:
     return _trim([i * c % p for i, c in enumerate(a)][1:])
 
@@ -277,7 +294,7 @@ def _factor(f, p: int) -> list[tuple[tuple, int]]:
     returns irreducibles by construction (von zur Gathen and Gerhard, ch.
     14), and the sympy and brute-force tests check that output; so
     :meth:`ClosedPoint._factor_of` wraps a factor without Rabin's test."""
-    rng = random.Random(_EDF_SEED)
+    rng = cache(partial(random.Random, _EDF_SEED))  # seeded on its first call
     out, scale = [], 1
     while len(f) > 1:
         d = _derivative(f, p)
@@ -312,12 +329,21 @@ def _factor_squarefree(f, p: int, rng) -> list[tuple]:
 
 
 def _equal_degree_split(g, d: int, p: int, rng) -> list[tuple]:
-    """Split a product of distinct irreducibles, all of degree d."""
+    """Split a monic product of distinct irreducibles, all of degree d.
+
+    For d = 1 and p at most ``_SCAN_MAX`` the factors are x - c for the
+    roots c of g, found by evaluating g at 0, 1, ... until there are
+    deg g of them.  Otherwise Cantor-Zassenhaus splits g with random
+    polynomials drawn from ``rng()``."""
     n = len(g) - 1
     if n == d:
         return [tuple(g)]
+    if d == 1 and p <= _SCAN_MAX:
+        roots = (c for c in range(p) if not _value(g, c, p))
+        return [(-c % p, 1) for c in islice(roots, n)]
+    randrange = rng().randrange
     while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
+        a = _trim([randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
         if p == 2:
@@ -404,6 +430,16 @@ class ResiduePoly(_DensePoly):
         object.__setattr__(self, "coeffs", tuple(_trim([int(c) % p for c in coeffs])))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "var", var)
+
+    @classmethod
+    def _of(cls, coeffs: tuple, p: int, var: str) -> "ResiduePoly":
+        """The polynomial of a coefficient tuple the kernel computed for
+        the prime p, entries in [0, p) and trimmed; nothing is checked."""
+        f = object.__new__(cls)
+        _SET_COEFFS(f, coeffs)
+        _SET_P(f, p)
+        _SET_VAR(f, var)
+        return f
 
     # structure
 
@@ -494,10 +530,10 @@ class ResiduePoly(_DensePoly):
         """Substitute the variable plus the constant c for the variable."""
         if isinstance(c, ResidueElem):
             c = self._check(c).coefficient(0)  # checks the prime
-        return ResiduePoly(_translate(self.coeffs, int(c) % self.p, self.p), self.p, self.var)
+        return self._of(tuple(_translate(self.coeffs, int(c) % self.p, self.p)), self.p, self.var)
 
     def with_var(self, var: str) -> "ResiduePoly":
-        return ResiduePoly(self.coeffs, self.p, var)
+        return self._of(self.coeffs, self.p, var)
 
     def gcd(self, other: "ResiduePoly") -> "ResiduePoly":
         o = self._check(other)
@@ -536,7 +572,7 @@ class ResiduePoly(_DensePoly):
         if self.is_zero():
             raise ZeroInput("cannot factor the zero polynomial")
         f = _monic(self.coeffs, self.p)
-        return [(ResiduePoly(q, self.p, self.var), m) for q, m in _factor(f, self.p)]
+        return [(self._of(q, self.p, self.var), m) for q, m in _factor(f, self.p)]
 
     # misc
 
@@ -556,6 +592,12 @@ class ResiduePoly(_DensePoly):
 
     def __repr__(self):
         return f"ResiduePoly({list(self.coeffs)}, p={self.p}, var={self.var!r})"
+
+
+# the slot setters of ``_of``: ResiduePoly.__setattr__ refuses every write
+_SET_COEFFS, _SET_P, _SET_VAR = (
+    getattr(ResiduePoly, name).__set__ for name in ResiduePoly.__slots__
+)
 
 
 @dataclass(frozen=True)

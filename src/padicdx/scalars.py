@@ -153,14 +153,17 @@ class _Ring:
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValueError(self._NEGATIVE_POWER)
-        out = self.one(self.p, self.var)
+        if not exp:
+            return self.one(self.p, self.var)
+        # square and multiply from the lowest set bit, with no product by one
         base = self
-        while exp:
+        while not exp & 1:
+            base, exp = base * base, exp >> 1
+        out = base
+        while exp := exp >> 1:
+            base = base * base
             if exp & 1:
                 out = out * base
-            exp >>= 1
-            if exp:
-                base = base * base
         return out
 
 

@@ -251,6 +251,11 @@ class _Operator(_Ring):
             return NotImplemented
         return o * self
 
+    def __pow__(self, exp: int):
+        if exp > 0:  # the first power is a product too: refuse a truncated operator
+            self._require_finite()
+        return super().__pow__(exp)
+
     def scale(self, scalar):
         table = {n: c.scale(scalar) for n, c in self.coeffs.items()}
         return self._of(table, self.p, self.var, self.finite)

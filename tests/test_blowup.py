@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdx import (
     BlowupModel,
@@ -288,3 +290,52 @@ def test_fiber_report_matches_the_public_functions(monkeypatch):
             assert base == infinite_support(P)
             assert above == support_on_blowup(P, B)
             assert m0_preserved is (pull_operator_u1(P, B, B.m).degree() == P.degree())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    p=st.sampled_from([2, 3, 5, 7]),
+    m=st.integers(1, 3),
+)
+def test_m0_preserved_is_the_degree_kept_by_transport(seed, p, m):
+    from padicdx import blowup
+
+    rng = random.Random(seed)
+    B = BlowupModel(rand_scalar(rng, p, (0, 3)), m)
+    P = rand_diffop(rng, p, max_dd=3, max_dx=3, nonzero=True)
+    m0_preserved = blowup._fiber_report(P, B)[3]
+    assert m0_preserved is (pull_operator_u1(P, B, B.m).degree() == P.degree())
+
+
+def test_m0_preserved_reads_the_pulled_leading_coefficient(monkeypatch):
+    """Transport keeps every nonzero coefficient, so m0_preserved is true
+    on every input; a pulled leading coefficient that reports itself zero,
+    as a lossy transport would give, shows as a degree not kept, and
+    fiber_sum_check is then False."""
+    from padicdx import blowup
+    from padicdx.tatepoly import _make
+
+    class LostLead(TatePoly):
+        def is_zero(self):
+            return True
+
+        def normalize(self):  # the inner chart points stay those of the true pullback
+            return _make(self.num, self.den, self.p, self.var).normalize()
+
+    pull = blowup.pull_function_u1
+
+    def lossy(f, B):
+        g = pull(f, B)
+        lost = object.__new__(LostLead)
+        for name in TatePoly.__slots__:
+            getattr(TatePoly, name).__set__(lost, getattr(g, name))
+        return lost
+
+    p = 3
+    P = DiffOp({2: fixture_lead(p), 0: TatePoly.one(p)}, p)
+    B = origin_blowup(p)
+    assert blowup._fiber_report(P, B)[3] is True
+    monkeypatch.setattr(blowup, "pull_function_u1", lossy)
+    ok, _, _, m0_preserved = blowup._fiber_report(P, B)
+    assert m0_preserved is False and ok is False

@@ -115,6 +115,26 @@ def test_variable_t_accepted():
     assert P == DiffOp({1: TatePoly.variable(p, "t"), 0: -1}, p, "t")
 
 
+def test_monomials_are_built_without_a_fraction_per_zero(monkeypatch):
+    """x^n is built canonical: the sum of 7*x^i for i < 1000 makes one
+    _fraction call per constant 7, not one per zero below each power, and
+    a power of a variable still refuses a modulus that is not a prime."""
+    from padicdx import tatepoly
+
+    calls = []
+    fraction = tatepoly._fraction
+    monkeypatch.setattr(tatepoly, "_fraction", lambda *a: calls.append(a) or fraction(*a))
+    text = " + ".join(f"7*x^{i}" for i in range(1000))
+    S = to_micro_op(parse(text, micro=True), 2)
+    assert len(calls) == 1000
+    assert S == MicroOp.from_poly(TatePoly([7] * 1000, 2))
+    assert to_micro_op(parse("t^3", micro=True), 5) == MicroOp.from_poly(
+        TatePoly.variable(5, "t") ** 3
+    )
+    with pytest.raises(ValueError, match="^4 is not a prime$"):
+        to_micro_op(parse("x^3"), 4)
+
+
 def _rand_tree(rng, depth, micro):
     choices = ["rational", "symbol", "power"]
     if depth > 0:

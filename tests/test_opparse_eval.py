@@ -131,7 +131,8 @@ def test_functions_are_multiplied_as_polynomials():
     )
     assert _count_products(to_micro_op, function) == 0
     assert _count_products(to_micro_op, hard) <= 2
-    assert _count_products(old_to_micro_op, function) > 5
+    # (x+1)^5 takes three products by square and multiply, then two more
+    assert _count_products(old_to_micro_op, function) == 5
     assert _count_products(old_to_micro_op, hard) > 5
 
 

@@ -44,8 +44,8 @@ def test_subtraction_and_powers(cls):
 
 @pytest.mark.parametrize("cls", CLASSES)
 def test_power_products(cls, monkeypatch):
-    # square and multiply: one product per set bit, one squaring per bit
-    # below the top one, and no squaring after it
+    # square and multiply from the lowest set bit: one product per set bit
+    # above it, one squaring per bit below the top one, and none by one
     f = cls((1, 1), 7)
     powers = [cls.one(7)]
     for _ in range(20):
@@ -56,7 +56,7 @@ def test_power_products(cls, monkeypatch):
     for exp in range(21):
         products.clear()
         assert f ** exp == powers[exp]
-        expected = bin(exp).count("1") + exp.bit_length() - 1 if exp else 0
+        expected = bin(exp).count("1") + exp.bit_length() - 2 if exp else 0
         assert len(products) == expected, exp
 
 

@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 
 from padicdx import (
     NEG_INF,
+    DiffOp,
     KernelError,
+    MicroOp,
     MixedPrimes,
     NegativeValuation,
     NormExp,
     PAdicScalar,
+    ResiduePoly,
+    TatePoly,
+    TruncatedOperand,
     is_prime,
 )
 from padicdx.scalars import _fraction_valuation
@@ -136,3 +141,31 @@ def test_mixed_primes_scalar():
 def test_fraction_valuation_matches_the_division_loop(p, v, unit, negative):
     n = (-1 if negative else 1) * p**v * unit
     assert _fraction_valuation(n, p) == loop_valuation(n, p) >= v
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        TatePoly((Fraction(1, 3), 0, 5), 5, "t"),
+        ResiduePoly((1, 2, 0, 3), 7, "t"),
+        MicroOp({-1: TatePoly((1, 2), 3, "t"), 1: 3}, 3, "t"),
+    ],
+)
+def test_ring_powers_are_repeated_products(base):
+    """_Ring.__pow__ starts from the lowest set bit, with no product by
+    one; the power 0 is still the one of the base's prime and variable."""
+    one = base ** 0
+    assert one == type(base).one(base.p) and (one.p, one.var) == (base.p, "t")
+    product = base
+    for exp in range(1, 10):
+        assert base ** exp == product
+        assert ((base ** exp).p, (base ** exp).var) == (base.p, "t")
+        product = product * base
+
+
+def test_first_power_of_a_truncated_operator_refused():
+    T = DiffOp.truncated({0: 1, 1: 1}, 2)
+    assert T ** 0 == DiffOp.one(2)
+    for exp in (1, 2, 5):
+        with pytest.raises(TruncatedOperand):
+            T ** exp

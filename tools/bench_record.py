@@ -21,10 +21,15 @@ of each checkout's ``perfbench/workloads.py``, at p = 2, k = 2, r = 1) at
 eps -24, -36, -48 and -96; the next inverts ``SEED71_UNIT`` below at
 p = 7, k = r = 1, eps -14; ``DENSE_POWER`` raises x + 1 to the power 2000
 at p = 2, the dense polynomial product at large degree and with wide
-coefficients; the last, ``NARROW_SQUARE``, squares 7 times the sum of x^i
-for i < 1000 at p = 2, one product of two long lists of narrow entries,
-whose 3-byte slots ``_mul_into`` rounds up to 4 bytes.  A run is the
-seconds ``micro_invert`` or the power took, or ``"timeout"`` when
+coefficients; ``NARROW_SQUARE`` squares 7 times the sum of x^i for
+i < 1000 at p = 2, one product of two long lists of narrow entries, whose
+3-byte slots ``_mul_into`` rounds up to 4 bytes.  The last two take
+``char_cycle`` of (x - c_1)···(x - c_n)·d + 1, whose dominant coefficient
+reduces to n distinct linear factors: ``ROOT_SCAN`` at p = 101 with
+n = 60, where equal-degree splitting finds the roots by evaluation (p at
+most ``residue._SCAN_MAX``), and ``ROOT_SPLIT`` at p = 10007 with n = 12,
+where it draws random splits.  A run is the seconds ``micro_invert``, the
+power or ``char_cycle`` took, or ``"timeout"`` when
 the process hit the cap; each rung records every run and their median, a
 timeout counting as slower than any time.  In ``BENCH_17.json`` the
 three runs of the -48 rung spread from 1.25 to 1.30 s on the parent and
@@ -58,7 +63,8 @@ SEED71_UNIT = (
     " - (2401/5*x - 1029/8)*d^-1 - (539/5*x^3 - 343*x^2 - 7*x + 343)*d^-2"
 )
 # the rungs: name, operator text ("" for the benchmark's hard operator) and the
-# levels p, k, r, eps of an inversion; or name, base text and p, exponent of a power
+# levels p, k, r, eps of an inversion; name, base text and p, exponent of a
+# power; or name, operator text and p of a characteristic cycle
 LADDER = (
     ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -24}),
     ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -36}),
@@ -67,19 +73,25 @@ LADDER = (
     ("SEED71_UNIT", SEED71_UNIT, {"p": 7, "k": 1, "r": 1, "eps": -14}),
     ("DENSE_POWER", "x + 1", {"p": 2, "exponent": 2000}),
     ("NARROW_SQUARE", " + ".join(f"7*x^{i}" for i in range(1000)), {"p": 2, "exponent": 2}),
+    ("ROOT_SCAN", "*".join(f"(x - {c})" for c in range(1, 61)) + "*d + 1", {"p": 101}),
+    ("ROOT_SPLIT", "*".join(f"(x - {7 * c})" for c in range(1, 13)) + "*d + 1", {"p": 10007}),
 )
 LADDER_CAP_S = 60
 LADDER_REPEATS = 3
 # one rung, run from the root of a checkout with the text and the levels of
-# LADDER as arguments; it times the inversion or the power alone
+# LADDER as arguments; it times the inversion, the power or the cycle alone
 RUNG = """import sys, time
 sys.path[:0] = ["src", "perfbench"]
 from workloads import hard_invert_operator
-from padicdx import micro_invert
-from padicdx.opparse import parse, to_micro_op
+from padicdx import char_cycle, micro_invert
+from padicdx.opparse import parse, to_diff_op, to_micro_op
 text, (p, *levels) = sys.argv[1], map(int, sys.argv[2:])
 S = to_micro_op(parse(text, micro=True), p) if text else hard_invert_operator()
-if len(levels) == 1:
+if not levels:
+    P = to_diff_op(parse(text), p)
+    start = time.perf_counter()
+    char_cycle(P)
+elif len(levels) == 1:
     base = S.coeffs[0]
     start = time.perf_counter()
     base ** levels[0]
