@@ -26,6 +26,12 @@ inversion there denote the same point and are stored once, under the
 inner chart.  The recipe above never produces such a duplicate, because
 strict-transform points are only emitted away from the center or at the
 crossing point, so the dedup rule holds by construction.
+
+The strict-transform points are the base points off the center by
+construction, so the multiplicity check weighs the center alone, by
+degrees: the order at the reduced center of the reduced dominant
+coefficient must equal the degree of the reduced inner pullback (roots
+with v(x - c) >= m) plus the crossing multiplicity (0 < v < m).
 """
 
 from __future__ import annotations
@@ -139,45 +145,53 @@ def support_on_blowup(
 ) -> list[tuple[ChartPoint, int]]:
     """Support points of the cyclic module on the blow-up, per chart."""
     P._require_finite("support undecidable for a truncated operator", "zero operator")
-    base_norm, _ = P.leading_coefficient().normalize()
-    return _chart_points(P, B, base_norm.reduce().factor())[0]
+    base, inner, crossing, _, _ = _transport(P, B)
+    return _chart_points(B, base.factor(), inner, crossing)
 
 
-def _chart_points(P: DiffOp, B: BlowupModel, base_factors) -> tuple[list, TatePoly]:
-    """support_on_blowup, given the factors of the base reduction, and the
-    leading coefficient of P pulled to the inner chart."""
-    p = P.p
+def _transport(P: DiffOp, B: BlowupModel) -> tuple:
+    """The reduced normalized leading coefficient of P, its pullback to
+    the inner chart reduced and normalized alike, the crossing
+    multiplicity, whether transport keeps the degree in the derivation,
+    and fiber_sum_check's verdict; the zero operator is refused first.
+
+    ``pull_operator_u1(P, B, B.m)`` scales each pulled coefficient by a
+    power of pi, which keeps nonzero polynomials nonzero, so it keeps the
+    degree of P exactly when the pulled leading coefficient is nonzero."""
+    if P.is_zero():
+        raise ZeroOperator("zero operator")
+    P._require_finite("support undecidable for a truncated operator")
     lead = P.leading_coefficient()
-    out: list[tuple[ChartPoint, int]] = []
-
-    # inner chart
+    base = lead.normalize()[0].reduce()
     pulled = pull_function_u1(lead, B)
-    normalized, _ = pulled.normalize()
-    for q, mult in normalized.reduce().factor():
-        out.append((ChartPoint(Chart.U1, ClosedPoint._factor_of(q, Chart.U1.value)), mult))
+    inner = pulled.normalize()[0].reduce()
+    recentered = lead.compose_linear(B.center, PAdicScalar.one(P.p), lead.var)
+    crossing = recentered.root_count_in_valuation_range(Fraction(0), Fraction(B.m))
+    at_center = base.translate(B.center.reduce_mod_pi().value).coeffs
+    base_mult = next(i for i, a in enumerate(at_center) if a)
+    m0_preserved = not pulled.is_zero()
+    ok = m0_preserved and base_mult == inner.degree() + crossing
+    return base, inner, crossing, m0_preserved, ok
 
-    # strict transform away from the center
+
+def _chart_points(B: BlowupModel, base_factors, inner: ResiduePoly, crossing: int) -> list:
+    """support_on_blowup, given the factors of the base reduction, the
+    reduced normalized inner-chart pullback and the crossing multiplicity."""
+    out = [
+        (ChartPoint(Chart.U1, ClosedPoint._factor_of(q, Chart.U1.value)), mult)
+        for q, mult in inner.factor()
+    ]
+    # strict transform: the base points but the one at the center, shifted
     center_red = B.center.reduce_mod_pi().value
-    center_poly = ResiduePoly((-center_red, 1), p, lead.var)
     for q, mult in base_factors:
-        if q == center_poly:
-            continue
         shifted = q.translate(center_red).with_var(U2_VAR)
-        point = ClosedPoint._factor_of(shifted, Chart.U2.value)
-        out.append((ChartPoint(Chart.U2, point), mult))
-
-    # crossing point: roots strictly between the chart radii
-    recentered = lead.compose_linear(B.center, PAdicScalar.one(p), lead.var)
-    crossing_mult = recentered.root_count_in_valuation_range(
-        Fraction(0), Fraction(B.m)
-    )
-    if crossing_mult > 0:
-        origin = ClosedPoint(
-            ResiduePoly.variable(p, U2_VAR), Chart.CROSSING.value
-        )
-        out.append((ChartPoint(Chart.CROSSING, origin), crossing_mult))
-
-    return sorted(out, key=lambda pm: pm[0].sort_key()), pulled
+        if shifted.coeffs != (0, 1):
+            point = ClosedPoint._factor_of(shifted, Chart.U2.value)
+            out.append((ChartPoint(Chart.U2, point), mult))
+    if crossing > 0:
+        origin = ClosedPoint(ResiduePoly.variable(B.p, U2_VAR), Chart.CROSSING.value)
+        out.append((ChartPoint(Chart.CROSSING, origin), crossing))
+    return sorted(out, key=lambda pm: pm[0].sort_key())
 
 
 def fiber_sum_check(P: DiffOp, B: BlowupModel) -> bool:
@@ -186,44 +200,19 @@ def fiber_sum_check(P: DiffOp, B: BlowupModel) -> bool:
     True when, over every base support point, the multiplicities of the
     blow-up support points above it, each weighted by its residue degree,
     sum to the base multiplicity, and the degree in the derivation is
-    preserved by transport.
+    preserved by transport.  Off the center the strict-transform points
+    are the base points, shifted, so only the center is weighed, by
+    degrees and with nothing factored: the order of the reduced leading
+    coefficient at the reduced center against the degree of its reduced
+    inner-chart pullback plus the crossing multiplicity.
     """
-    return _fiber_report(P, B)[0]
+    return _transport(P, B)[4]
 
 
 def _fiber_report(P: DiffOp, B: BlowupModel) -> tuple:
     """fiber_sum_check's verdict, the base and blow-up supports and whether
-    transport keeps the degree in the derivation, factoring once per chart.
-
-    That degree is read off the leading coefficient alone, as pulled by
-    ``_chart_points``: ``pull_operator_u1(P, B, B.m)`` pulls each
-    coefficient by x = c + pi^m * t and scales it by a power of pi, which
-    sends nonzero polynomials to nonzero ones, so it keeps the degree of P
-    exactly when the pulled leading coefficient is nonzero."""
-    if P.is_zero():
-        raise ZeroOperator("zero operator")
+    transport keeps the degree in the derivation, factoring once per chart."""
+    _, inner, crossing, m0_preserved, ok = _transport(P, B)
     base = infinite_support(P)
-    above, pulled = _chart_points(P, B, [(pt.minimal_poly, mult) for pt, mult in base.points])
-    m0_preserved = not pulled.is_zero()
-    center_red = B.center.reduce_mod_pi().value
-    center_poly = ResiduePoly((-center_red, 1), P.p, P.leading_coefficient().var)
-    base_at_center = 0
-    off_center: dict[ResiduePoly, int] = {}
-    for pt, mult in base.points:
-        if pt.minimal_poly == center_poly:
-            base_at_center = mult
-        else:
-            off_center[pt.minimal_poly] = mult
-
-    over_center = sum(
-        mult * cp.point.degree for cp, mult in above if cp.chart != Chart.U2
-    )
-    u2_points = {
-        cp.point.minimal_poly: mult for cp, mult in above if cp.chart == Chart.U2
-    }
-    expected_u2 = {
-        q.translate(center_red).with_var(U2_VAR): mult
-        for q, mult in off_center.items()
-    }
-    ok = over_center == base_at_center and u2_points == expected_u2 and m0_preserved
+    above = _chart_points(B, [(pt.minimal_poly, m) for pt, m in base.points], inner, crossing)
     return ok, base, above, m0_preserved

@@ -86,11 +86,6 @@ class MicroOp(_Operator):
             raise ValueError("negative powers present")
         return DiffOp._of(self.coeffs, self.p, self.var)
 
-    # structure
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
     # norms and canonical form
 
     def norm(self, k: int, r: int) -> NormExp:

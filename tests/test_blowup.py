@@ -273,8 +273,10 @@ def test_fiber_report_matches_the_public_functions(monkeypatch):
 
     rng = random.Random(109)
     factor = ResiduePoly.factor
-    calls = []
+    calls, supports = [], []
     monkeypatch.setattr(ResiduePoly, "factor", lambda f: calls.append(f) or factor(f))
+    support = blowup.infinite_support
+    monkeypatch.setattr(blowup, "infinite_support", lambda P: supports.append(P) or support(P))
     for p in (2, 3, 5):
         x = TatePoly.variable(p)
         for _ in range(8):
@@ -286,9 +288,14 @@ def test_fiber_report_matches_the_public_functions(monkeypatch):
             calls.clear()
             ok, base, above, m0_preserved = blowup._fiber_report(P, B)
             assert len(calls) == 2
+            calls.clear()
+            supports.clear()
             assert ok is fiber_sum_check(P, B)
+            assert calls == [] and supports == []
             assert base == infinite_support(P)
+            calls.clear()
             assert above == support_on_blowup(P, B)
+            assert len(calls) == 2
             assert m0_preserved is (pull_operator_u1(P, B, B.m).degree() == P.degree())
 
 

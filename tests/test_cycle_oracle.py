@@ -10,6 +10,12 @@ certifies the degree-1 points of ``support_on_blowup``, and the Newton
 polygon of the recentred coefficient on valuations in (0, m) certifies
 its crossing multiplicity.
 
+``fiber_sum_check`` weighs the center by degrees alone; the reference
+verdict here reads the factor lists instead, as the kernel once did: the
+multiplicity of the base point at the reduced center against the
+multiplicities times residue degrees of the blow-up points off the strict
+transform.
+
 Points that come from the factorizer skip Rabin's test; each must equal
 the point the public, checked constructor builds from the same data.
 """
@@ -30,7 +36,10 @@ from padicdx import (
     TatePoly,
     char_cycle,
     factor_reduction,
+    fiber_sum_check,
+    infinite_support,
     pull_function_u1,
+    pull_operator_u1,
     support_on_blowup,
 )
 from padicdx.blowup import _fiber_report
@@ -132,3 +141,109 @@ def test_factor_points_equal_checked_points(PB):
         assert_checked(pt)
     with pytest.raises(ValueError):
         ClosedPoint(ResiduePoly.one(P.p), "x")
+
+
+def factor_verdict(P: DiffOp, B: BlowupModel) -> bool:
+    """fiber_sum_check from the factor lists of both supports."""
+    lead = P.leading_coefficient()
+    center = ResiduePoly((-B.center.reduce_mod_pi().value, 1), P.p, lead.var)
+    base = {pt.minimal_poly: m for pt, m in infinite_support(P).points}
+    above = support_on_blowup(P, B)
+    over_center = sum(m * cp.point.degree for cp, m in above if cp.chart != Chart.U2)
+    kept = pull_operator_u1(P, B, B.m).degree() == P.degree()
+    return base.get(center, 0) == over_center and kept
+
+
+def assert_verdicts_agree(P: DiffOp, B: BlowupModel):
+    expected = factor_verdict(P, B)
+    assert fiber_sum_check(P, B) is expected
+    assert _fiber_report(P, B)[0] is expected
+
+
+def assert_u2_points_are_translates(P: DiffOp, B: BlowupModel):
+    """The strict-transform points, moved back by the reduced center, are
+    the base points off the center, with their multiplicities."""
+    c = B.center.reduce_mod_pi().value
+    var = P.leading_coefficient().var
+    off_center = {
+        pt.minimal_poly: m
+        for pt, m in infinite_support(P).points
+        if pt.minimal_poly != ResiduePoly((-c, 1), P.p, var)
+    }
+    u2 = {
+        cp.point.minimal_poly.translate(-c).with_var(var): m
+        for cp, m in support_on_blowup(P, B)
+        if cp.chart == Chart.U2
+    }
+    assert u2 == off_center
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators())
+def test_fiber_verdict_equals_the_factor_lists(PB):
+    assert_verdicts_agree(*PB)
+
+
+def irreducible_quadratic(p: int) -> tuple[int, int]:
+    """(b, a) with t^2 + b*t + a irreducible mod p."""
+    return next(
+        (b, a)
+        for b in range(p)
+        for a in range(1, p)
+        if all((t * t + b * t + a) % p for t in range(p))
+    )
+
+
+@st.composite
+def centred_operators(draw):
+    """(P, B): a blow-up at a center of nonzero reduction, and a dominant
+    coefficient whose roots sit at v(x - c) = e for e in 0..4, some as
+    pairs of residue degree 2 over F_p: (x - c)^2 + b*p^e*(x - c) +
+    a*p^(2e) reduces to t^2 + b*t + a on the inner chart when e = m."""
+    p = draw(st.sampled_from(PRIMES))
+    c = draw(st.integers(1, min(2, p - 1))) + p * draw(st.integers(0, p))
+    y = TatePoly.variable(p) - c
+    b, a = irreducible_quadratic(p)
+    lead = TatePoly.constant(draw(rationals(p).filter(bool)), p)
+    for _ in range(draw(st.integers(1, 4))):
+        e = draw(st.integers(0, 4))
+        if draw(st.booleans()):
+            factor = y - Fraction(p) ** e * draw(st.integers(1, p - 1))
+        else:
+            factor = y * y + y * (b * Fraction(p) ** e) + a * Fraction(p) ** (2 * e)
+        lead = lead * factor ** draw(st.integers(1, 2))
+    coeffs = {0: TatePoly(draw(st.lists(rationals(p), max_size=3)), p)}
+    coeffs[draw(st.integers(1, 2))] = lead
+    return DiffOp(coeffs, p), BlowupModel(PAdicScalar(c, p), draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(centred_operators())
+def test_fiber_verdict_at_a_nonzero_center(PB):
+    P, B = PB
+    assert B.center.reduce_mod_pi().value != 0
+    assert_verdicts_agree(P, B)
+    assert_u2_points_are_translates(P, B)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fiber_verdict_over_points_of_residue_degree_two(p, m):
+    """Pairs of roots of residue degree 2 at v(x - c) = e for e in 0..4."""
+    b, a = irreducible_quadratic(p)
+    y = TatePoly.variable(p) - (1 + p)
+    lead = TatePoly.one(p)
+    for e in range(5):
+        lead = lead * (y * y + y * (b * Fraction(p) ** e) + a * Fraction(p) ** (2 * e))
+    P = DiffOp({2: lead, 0: TatePoly.one(p)}, p)
+    B = BlowupModel(PAdicScalar(1 + p, p), m)
+    # e = m gives t^2 + b*t + a, each e > m gives t^2, each 0 < e < m
+    # two roots at the crossing point, and e = 0 the strict-transform point
+    expected = {(Chart.U1, (0, 1)): 2 * (4 - m), (Chart.U1, (a, b, 1)): 1, (Chart.U2, (a, b, 1)): 1}
+    if m > 1:
+        expected[(Chart.CROSSING, (0, 1))] = 2 * (m - 1)
+    above = support_on_blowup(P, B)
+    assert {(cp.chart, cp.point.minimal_poly.coeffs): k for cp, k in above} == expected
+    assert fiber_sum_check(P, B) is True
+    assert_verdicts_agree(P, B)
+    assert_u2_points_are_translates(P, B)

@@ -23,17 +23,21 @@ p = 7, k = r = 1, eps -14; ``DENSE_POWER`` raises x + 1 to the power 2000
 at p = 2, the dense polynomial product at large degree and with wide
 coefficients; ``NARROW_SQUARE`` squares 7 times the sum of x^i for
 i < 1000 at p = 2, one product of two long lists of narrow entries, whose
-3-byte slots ``_mul_into`` rounds up to 4 bytes.  The last two take
+3-byte slots ``_mul_into`` rounds up to 4 bytes.  The next two take
 ``char_cycle`` of (x - c_1)···(x - c_n)·d + 1, whose dominant coefficient
 reduces to n distinct linear factors: ``ROOT_SCAN`` at p = 101 with
 n = 60, where equal-degree splitting finds the roots by evaluation (p at
 most ``residue._SCAN_MAX``), and ``ROOT_SPLIT`` at p = 10007 with n = 12,
-where it draws random splits.  A run is the seconds ``micro_invert``, the
-power or ``char_cycle`` took, or ``"timeout"`` when
-the process hit the cap; each rung records every run and their median, a
-timeout counting as slower than any time.  In ``BENCH_17.json`` the
-three runs of the -48 rung spread from 1.25 to 1.30 s on the parent and
-from 0.73 to 0.81 s on the change, at most 11% of their medians.
+where it draws random splits.  ``FIBER_SUM`` takes ``fiber_sum_check`` of
+the same shape of operator at p = 101 over the blow-up at c = 3, m = 2,
+with 60 roots c + p^e·u, u = 1..15, for each e in 0..3: off the center,
+at the crossing point and on the inner chart.  A run is the seconds
+``micro_invert``, the power, ``char_cycle`` or ``fiber_sum_check`` took,
+or ``"timeout"`` when the process hit the cap; each rung records every
+run with their median, min and max, a timeout counting as slower than
+any time.  In ``BENCH_17.json`` the three runs of the -48 rung spread
+from 1.25 to 1.30 s on the parent and from 0.73 to 0.81 s on the change,
+at most 11% of their medians.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ SEED71_UNIT = (
 )
 # the rungs: name, operator text ("" for the benchmark's hard operator) and the
 # levels p, k, r, eps of an inversion; name, base text and p, exponent of a
-# power; or name, operator text and p of a characteristic cycle
+# power; name, operator text and p of a characteristic cycle; or name,
+# operator text and p, center c, level m of a fiber-sum check
 LADDER = (
     ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -24}),
     ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -36}),
@@ -75,29 +80,37 @@ LADDER = (
     ("NARROW_SQUARE", " + ".join(f"7*x^{i}" for i in range(1000)), {"p": 2, "exponent": 2}),
     ("ROOT_SCAN", "*".join(f"(x - {c})" for c in range(1, 61)) + "*d + 1", {"p": 101}),
     ("ROOT_SPLIT", "*".join(f"(x - {7 * c})" for c in range(1, 13)) + "*d + 1", {"p": 10007}),
+    ("FIBER_SUM", "*".join(f"(x - {3 + 101**e * u})" for e in range(4) for u in range(1, 16))
+     + "*d + 1", {"p": 101, "c": 3, "m": 2}),
 )
 LADDER_CAP_S = 60
 LADDER_REPEATS = 3
 # one rung, run from the root of a checkout with the text and the levels of
-# LADDER as arguments; it times the inversion, the power or the cycle alone
+# LADDER as arguments (name=value); it times the inversion, the power, the
+# fiber-sum check or the cycle alone
 RUNG = """import sys, time
 sys.path[:0] = ["src", "perfbench"]
 from workloads import hard_invert_operator
-from padicdx import char_cycle, micro_invert
+from padicdx import BlowupModel, PAdicScalar, char_cycle, fiber_sum_check, micro_invert
 from padicdx.opparse import parse, to_diff_op, to_micro_op
-text, (p, *levels) = sys.argv[1], map(int, sys.argv[2:])
-S = to_micro_op(parse(text, micro=True), p) if text else hard_invert_operator()
-if not levels:
+text, levels = sys.argv[1], {k: int(v) for k, v in (a.split("=") for a in sys.argv[2:])}
+p = levels["p"]
+if "eps" in levels:
+    S = to_micro_op(parse(text, micro=True), p) if text else hard_invert_operator()
+    start = time.perf_counter()
+    micro_invert(S, levels["k"], levels["r"], levels["eps"])
+elif "exponent" in levels:
+    base = to_micro_op(parse(text, micro=True), p).coeffs[0]
+    start = time.perf_counter()
+    base ** levels["exponent"]
+elif "m" in levels:
+    P, B = to_diff_op(parse(text), p), BlowupModel(PAdicScalar(levels["c"], p), levels["m"])
+    start = time.perf_counter()
+    fiber_sum_check(P, B)
+else:
     P = to_diff_op(parse(text), p)
     start = time.perf_counter()
     char_cycle(P)
-elif len(levels) == 1:
-    base = S.coeffs[0]
-    start = time.perf_counter()
-    base ** levels[0]
-else:
-    start = time.perf_counter()
-    micro_invert(S, *levels)
 print(time.perf_counter() - start)
 """
 
@@ -130,7 +143,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def rung(checkout: Path, text: str, levels: dict):
     try:
-        proc = subprocess.run([sys.executable, "-c", RUNG, text, *map(str, levels.values())],
+        proc = subprocess.run([sys.executable, "-c", RUNG, text,
+                               *(f"{k}={v}" for k, v in levels.items())],
                               cwd=checkout, capture_output=True, text=True,
                               timeout=LADDER_CAP_S, check=True)
     except subprocess.TimeoutExpired:
@@ -143,9 +157,12 @@ def sides(i: int) -> tuple:
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
-def ladder_median(runs: list):
-    """The middle of an odd number of runs, ``"timeout"`` above any time."""
-    return sorted(runs, key=lambda s: float("inf") if s == "timeout" else s)[len(runs) // 2]
+def ladder_spread(runs: list) -> dict:
+    """The median, min and max of an odd number of runs, and the runs;
+    ``"timeout"`` counts as slower than any time."""
+    ordered = sorted(runs, key=lambda s: float("inf") if s == "timeout" else s)
+    return {"median": ordered[len(ordered) // 2], "min": ordered[0], "max": ordered[-1],
+            "runs": runs}
 
 
 def summary(runs: list) -> dict:
@@ -191,8 +208,7 @@ def main(argv=None) -> int:
                     print("ladder", name, levels, side, runs[side][-1], file=sys.stderr,
                           flush=True)
             rungs.append({"operator": name, **levels,
-                          **{side: {"median": ladder_median(values), "runs": values}
-                             for side, values in runs.items()}})
+                          **{side: ladder_spread(values) for side, values in runs.items()}})
         doc["hard_ladder"] = {"cap_s": LADDER_CAP_S, "repeats": LADDER_REPEATS,
                               "operators": {"SEED71_UNIT": SEED71_UNIT}, "rungs": rungs}
         for workload in args.workloads:
