@@ -22,22 +22,21 @@ The only truncated computation in the module is inversion
 (:func:`micro_invert`).  It factors S = (1 + R) s_q d^q around the
 dominant term, so the inverse of s_q multiplies the geometric series on
 the left, as a function, and walks no derivative chain.  Each product on
-the way is a short product: ``leibniz_product`` with a floor stops each
-derivative chain at its first term below the cutoff and skips the trailing
-entries whose products all fall below it, so it keeps the monomials
-:meth:`MicroOp.truncate_below` would keep of the full product, at the same
-norms, and differs from it by less than the cutoff.  The inversion then
-rounds each kept coefficient to its cutoff (``_short``): it keeps a
-denominator that is a power of p and a numerator of about as many p-adic
-digits as the cutoff needs, changes no monomial's norm, and moves the
-product by less than the cutoff; what the short product skipped is
-below what that rounding keeps, so the rounded result is that of the
-exact truncated product.  This is the capped-precision model of Caruso,
-Roe and Vaccon, "Tracking p-adic precision" (2014); exact series
-coefficients would grow to hundreds of bits.  The cutoffs are derived so
-that one pass reaches the target: the inverse is cut at eps - max(0, |S|),
-and its residual |S*T - 1| is recomputed from the exact, unrounded
-product S*T; a miss raises ``PrecisionNotReached``.
+the way is a short product (``_short``): ``leibniz_product`` with a floor
+stops each derivative chain at its first term below the cutoff, skips the
+trailing entries whose products all fall below it, and rounds each row
+once to its cutoff.  The result keeps the monomials
+:meth:`MicroOp.truncate_below` would keep of the full product, at the
+same norms, over a denominator that is a power of p, with a numerator of
+about as many p-adic digits as the cutoff needs, and differs from it by
+less than the cutoff; what the product skipped is below what the rounding
+keeps, so the rounded result is that of the exact truncated product.
+This is the capped-precision model of Caruso, Roe and Vaccon, "Tracking
+p-adic precision" (2014); exact series coefficients would grow to
+hundreds of bits.  The cutoffs are derived so that one pass reaches the
+target: the inverse is cut at eps - max(0, |S|), and its residual
+|S*T - 1| is recomputed from the exact, unrounded product S*T; a miss
+raises ``PrecisionNotReached``.
 """
 
 from __future__ import annotations
@@ -53,8 +52,7 @@ from .errors import (
 )
 from .residue import ResiduePoly
 from .scalars import NormExp, PAdicScalar
-from .scalars import _fraction_valuation as _val
-from .tatepoly import TatePoly, _as_exp, _canon, _make
+from .tatepoly import TatePoly, _as_exp, _canon
 from .weyl import DiffOp, _Operator, leibniz_product, weight
 
 
@@ -221,35 +219,14 @@ def micro_unit_verdict(S: MicroOp, k: int, r: int):
 
 
 def _short(left: MicroOp, right: MicroOp, k: int, r: int, cutoff: int) -> MicroOp:
-    """left * right truncated below the cutoff and rounded to it.
-
-    The short product keeps, at power n, the monomials of norm at least
-    p^c with c = cutoff - weight(n, k, r).  Each kept a/den, with
-    v = v_p(den), becomes A/p^v for the balanced residue
-    -p^(keep+1)/2 < A <= p^(keep+1)/2 of a*(den/p^v)^-1 modulo
-    p^(keep+1), keep = v - c.  Then p^(keep+1) divides a*(den/p^v)^-1 - A,
-    so the two differ by norm at most p^(c-1), and v_p(A) = v_p(a) <= keep:
-    the same monomials with the same norms.  A row already over a power of
-    p with every numerator in the residue range is its own rounding."""
+    """left * right truncated below the cutoff and rounded to it: the short
+    product ``leibniz_product`` computes with ``floor=(k, r, cutoff)``.  At
+    power n it has the monomials of norm at least p^c of the exact product,
+    c = cutoff - weight(n, k, r), at the same norms, over a power of p, and
+    differs from it by norm at most p^(c-1)."""
     p, var = left.p, left.var
-    out = leibniz_product(left.coeffs, right.coeffs, p, var, (k, r, cutoff))
-    for n, c in out.items():
-        num, den = c.num, c.den
-        if not num:
-            continue
-        v = _val(den, p)
-        pv = p**v
-        mod = p ** (v - cutoff + weight(n, k, r) + 1)
-        lo = (mod - 1) // 2
-        if den != pv:
-            inv = pow(den // pv, -1, mod)
-        elif -lo <= min(num) and max(num) <= mod // 2:
-            continue
-        else:
-            inv = 1
-        # canonical already: some a is prime to p when v > 0, and A = 0 only where a = 0
-        out[n] = _make(tuple([(a * inv + lo) % mod - lo for a in num]), pv, p, var)
-    return MicroOp._of(out, p, var)
+    table = leibniz_product(left.coeffs, right.coeffs, p, var, (k, r, cutoff))
+    return MicroOp._of(table, p, var)
 
 
 def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
@@ -268,10 +245,10 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     so g multiplies the series on the left, as a function, and walks no
     derivative chain; only the powers d^-q walk chains.
 
-    Cutoffs: every product is a short product, cut and rounded so that
-    what it drops and what its rounding changes each have norm below its
-    cutoff (``_short``), so together they move its result by less than
-    the cutoff.  That bound is all the derivation below uses.  With
+    Cutoffs: every product is a short product, cut and rounded in one pass
+    (``_short``) so that what it drops and what its rounding changes each
+    have norm below its cutoff, so together they move its result by less
+    than the cutoff.  That bound is all the derivation below uses.  With
     g s_q = 1 + e, the identity S d^-q g = 1 + e + R is exact, so
 
         S T - 1 = -(-R)^(L+1) + (1 + R) E + (e + dR + tail dG) A

@@ -65,16 +65,6 @@ def _canon(num: list, den: int, p: int, var: str) -> "TatePoly":
     return _make(tuple(num), den, p, var)
 
 
-def _keep_above(num, den: int, p: int, cutoff_exp: int) -> list:
-    """The entries a of num with |a/den| >= p^cutoff, the others set to 0."""
-    # |a/den| >= p^cutoff exactly when v(a) <= keep, that is p^(keep+1) does not divide a
-    keep = _val(den, p) - cutoff_exp
-    if keep < 0:
-        return []
-    q = p ** (keep + 1)
-    return [a if a % q else 0 for a in num]
-
-
 class TatePoly(_DensePoly):
     """A polynomial over the exact p-adic scalars with a variable symbol.
 
@@ -190,8 +180,12 @@ class TatePoly(_DensePoly):
 
     def drop_below(self, cutoff_exp: int) -> "TatePoly":
         """Discard coefficients of norm below the cutoff exponent."""
-        kept = _keep_above(self.num, self.den, self.p, cutoff_exp)
-        return _canon(kept, self.den, self.p, self.var)
+        # |a/den| >= p^cutoff exactly when v(a) <= keep, that is p^(keep+1) does not divide a
+        keep = _val(self.den, self.p) - cutoff_exp
+        if keep < 0:
+            return TatePoly.zero(self.p, self.var)
+        q = self.p ** (keep + 1)
+        return _canon([a if a % q else 0 for a in self.num], self.den, self.p, self.var)
 
     # norms and reduction
 

@@ -29,7 +29,7 @@ from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
 from .residue import _format_terms, _mul_into
 from .scalars import NormExp, PAdicScalar, _Ring
 from .scalars import _fraction_valuation as _val
-from .tatepoly import TatePoly, _canon, _keep_above
+from .tatepoly import TatePoly, _canon
 
 
 def _coerce_poly(value, p: int, var: str) -> TatePoly:
@@ -66,19 +66,29 @@ def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> di
     integer lists, then multiplied by b_m once into its row by
     ``_mul_into``.
 
-    With ``floor=(k, r, cutoff)`` this is the short product: at each power
-    n it keeps the monomials of ``truncate_below(k, r, cutoff)`` of the
-    full product, at the same valuations, and differs from it by norm
-    below p^(cutoff - weight(n, k, r)).  Write c^(j) = j! c^[j]; the divided
-    derivative c^[j] has integer-binomial coefficients, so with Legendre's
-    formula for v_p(j!) the term C(m, j) b_m c_n^(j) has Gauss norm exponent
-    at most |b_m| + |c_n| - v_p(j!).  That plus the weight of its power
-    m + n - j falls as j grows, so the chain of each pair stops at its
-    first term below the cutoff.  Before each product, trailing entries of
-    the sum are dropped while their norm exponent plus |b_m| and the weight
-    is below the cutoff.  Everything skipped is below the cutoff, so by the
-    ultrametric inequality no kept monomial changes its norm; the rows are
-    then cut at the cutoff."""
+    With ``floor=(k, r, cutoff)`` this is the short product, rounded: at
+    each power n it keeps the monomials of ``truncate_below(k, r, cutoff)``
+    of the full product, at the same valuations, over a power of p, and
+    differs from it by norm below p^c, c = cutoff - weight(n, k, r).  Write
+    c^(j) = j! c^[j]; the divided derivative c^[j] has integer-binomial
+    coefficients, so with Legendre's formula for v_p(j!) the term
+    C(m, j) b_m c_n^(j) has Gauss norm exponent at most
+    |b_m| + |c_n| - v_p(j!).  That plus the weight of its power m + n - j
+    falls as j grows, so the chain of each pair stops at its first term
+    below the cutoff.  Before each product, trailing entries of the sum are
+    dropped while their norm exponent plus |b_m| and the weight is below
+    the cutoff.  Everything skipped is below the cutoff, so by the
+    ultrametric inequality no kept monomial changes its norm.
+
+    Each row a/den is then rounded once (the capped precision of Caruso,
+    Roe and Vaccon, "Tracking p-adic precision", 2014): with v = v_p(den)
+    and keep = v - c, a becomes A/p^v for the balanced residue A of
+    a*(den/p^v)^-1 modulo p^(keep+1), and a row with keep < 0 is dropped.
+    So each coefficient moves by norm at most p^(c-1), v_p(A) = v_p(a) up
+    to keep and A = 0 beyond: the same monomials at the same norms.  The
+    rounding depends only on the coefficient modulo p^(1-c), which nothing
+    skipped changes, so each row is the rounding of the exact row whatever
+    den is; ``_canon`` makes its form unique."""
     lden = math.lcm(*(b.den for b in left.values()))
     rden = math.lcm(*(c.den for c in right.values()))
     short = floor is not None
@@ -122,10 +132,18 @@ def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> di
                     continue
             _mul_into(out.setdefault(key, []), bm, s)
     den = lden * rden
-    if short:
-        for key, row in out.items():
-            out[key] = _keep_above(row, den, p, cutoff - weight(key, k, r))
-    return {key: _canon(out.pop(key), den, p, var) for key in list(out)}
+    if not short:
+        return {key: _canon(out.pop(key), den, p, var) for key in list(out)}
+    v = _val(den, p)
+    pv = p**v
+    table = {}
+    for key, row in out.items():
+        keep = v - cutoff + weight(key, k, r)
+        if keep >= 0:
+            mod = p ** (keep + 1)
+            inv, lo = pow(den // pv, -1, mod), (mod - 1) // 2
+            table[key] = _canon([(a * inv + lo) % mod - lo for a in row], pv, p, var)
+    return table
 
 
 class _Operator(_Ring):
@@ -293,12 +311,11 @@ class DiffOp(_Operator):
     __slots__ = ()
     _NEGATIVE_POWER = "negative power of a finite operator"
 
-    def __new__(cls, coeffs, p: int, var: str = "x", finite: bool = True):
+    def __new__(cls, coeffs, p: int, var: str = "x"):
         coeffs = dict(coeffs)
         if any(n < 0 for n in coeffs):
             raise ValueError("negative powers need the Laurent ring")
-        op = super().__new__(cls, coeffs, p, var)
-        return op if finite else cls._of(op.coeffs, p, var, False)
+        return super().__new__(cls, coeffs, p, var)
 
     # constructors
 
@@ -309,7 +326,7 @@ class DiffOp(_Operator):
     @classmethod
     def truncated(cls, coeffs, p: int, var: str = "x") -> "DiffOp":
         """A truncation of an infinite operator; carries no arithmetic."""
-        return cls(coeffs, p, var, finite=False)
+        return cls._of(cls(coeffs, p, var).coeffs, p, var, False)
 
     # structure
 

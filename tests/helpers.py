@@ -2,10 +2,12 @@
 
 Oracles here deliberately avoid the code paths they check: operator
 products are validated through the action on functions and against the
-per-term Leibniz product below, factorizations through exhaustive trial
-division over the residue field, translation through the object Horner
-rule below, the integer-vector polynomial core through the plain
-Fraction arithmetic below, and the expression evaluator through the
+term-by-term Leibniz product on Fraction lists below (``frac_op_mul``),
+which shares no code with the integer kernel, and short products against
+its balanced rounding (``frac_round_short``); factorizations through
+exhaustive trial division over the residue field, translation through the
+object Horner rule below, the integer-vector polynomial core through the
+plain Fraction arithmetic below, and the expression evaluator through the
 all-operator evaluator below, which it replaced.
 """
 
@@ -283,9 +285,9 @@ def frac_op_norm(A: dict, p: int, k: int, r: int):
 
 def frac_round_short(A: dict, p: int, k: int, r: int, cutoff: int) -> dict:
     """The {power: Fraction list} map A cut below the (k, r) cutoff, each
-    kept row rounded as ``micro._short`` documents it: with v the larger of
-    0 and the row's Gauss exponent and c = cutoff - weight(n, k, r), a
-    coefficient x becomes A / p^v for the balanced residue
+    kept row rounded as the floored ``leibniz_product`` documents it: with
+    v the larger of 0 and the row's Gauss exponent and
+    c = cutoff - weight(n, k, r), a coefficient x becomes A / p^v for the balanced residue
     -p^(v-c+1)/2 < A <= p^(v-c+1)/2 of x p^v modulo p^(v-c+1)."""
     out = {}
     for n, row in A.items():
@@ -311,36 +313,12 @@ def frac_compose_linear(a, shift, stretch) -> list:
     return acc
 
 
-# per-term Leibniz oracle for operator products: one TatePoly per term
-
-
 def falling_binom(m: int, j: int) -> int:
     """m (m-1) ... (m-j+1) / j!, the binomial for any integer m."""
     num = 1
     for i in range(j):
         num *= m - i
     return num // math.factorial(j)
-
-
-def leibniz_oracle(left: dict, right: dict, p: int, var: str) -> dict:
-    """The coefficient map of (sum b_m d^m) * (sum c_n d^n), term by term:
-    d^m c = sum_j C(m, j) c^(j) d^(m-j), stopping at j = m for m >= 0 and
-    when the derivative vanishes otherwise."""
-    out: dict = {}
-    for m, bm in left.items():
-        for n, cn in right.items():
-            der, j = cn, 0
-            while not der.is_zero():
-                coef = falling_binom(m, j)
-                if coef:
-                    key = m + n - j
-                    term = (bm * der).scale(coef)
-                    out[key] = out.get(key, TatePoly.zero(p, var)) + term
-                if m >= 0 and j == m:
-                    break
-                der = der.derivative()
-                j += 1
-    return {n: c for n, c in out.items() if not c.is_zero()}
 
 
 class _OldNormalizer:

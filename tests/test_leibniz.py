@@ -17,7 +17,6 @@ from helpers import (
     frac_op,
     frac_op_mul,
     frac_round_short,
-    leibniz_oracle,
     loop_valuation,
 )
 
@@ -61,7 +60,7 @@ def test_gbinom_matches_falling_factorial():
 def test_micro_product_against_oracle(p, data):
     A = MicroOp(_coeffs(data, p, -4, 4, "A"), p)
     B = MicroOp(_coeffs(data, p, -4, 4, "B"), p)
-    assert (A * B).coeffs == leibniz_oracle(A.coeffs, B.coeffs, p, "x")
+    assert frac_op((A * B).coeffs) == frac_op_mul(frac_op(A.coeffs), frac_op(B.coeffs))
 
 
 @settings(max_examples=40, deadline=None)
@@ -70,7 +69,7 @@ def test_diffop_product_against_oracle(p, data):
     P = DiffOp(_coeffs(data, p, 0, 4, "P"), p)
     Q = DiffOp(_coeffs(data, p, 0, 4, "Q"), p)
     PQ = P * Q
-    assert PQ.coeffs == leibniz_oracle(P.coeffs, Q.coeffs, p, "x")
+    assert frac_op(PQ.coeffs) == frac_op_mul(frac_op(P.coeffs), frac_op(Q.coeffs))
     assert MicroOp.from_diffop(P) * MicroOp.from_diffop(Q) == MicroOp.from_diffop(PQ)
 
 
@@ -87,13 +86,20 @@ def _assert_within_cutoff(got: dict, want: dict, k, r, cutoff):
             assert a.is_zero() == b.is_zero() and a.valuation() == b.valuation()
 
 
+def _canonical_over_a_power_of_p(c: TatePoly, p: int) -> bool:
+    den = c.den
+    while den % p == 0:
+        den //= p
+    return den == 1 and c == TatePoly([Fraction(a, c.den) for a in c.num], p)
+
+
 def _operands_and_cutoff(p, k, r, data):
     """Two Laurent operators, their exact product by the oracle and a
     cutoff above the norm of the product, inside its range of monomial
     norms or below all of them."""
     A = MicroOp(_coeffs(data, p, -4, 4, "A"), p)
     B = MicroOp(_coeffs(data, p, -4, 4, "B"), p)
-    full = MicroOp(leibniz_oracle(A.coeffs, B.coeffs, p, "x"), p)
+    full = MicroOp(frac_op_mul(frac_op(A.coeffs), frac_op(B.coeffs)), p)
     top = full.norm(k, r)
     top = 0 if top.is_neg_inf() else top.exp
     return A, B, full, data.draw(st.integers(top - 40, top + 4), label="cutoff")
@@ -103,40 +109,40 @@ def _operands_and_cutoff(p, k, r, data):
 @given(p=st.sampled_from([2, 3, 5]), levels=st.sampled_from(LEVELS), data=st.data())
 def test_short_product_against_truncated_oracle(p, levels, data):
     # the floored kernel skips only terms below the cutoff: it keeps the
-    # monomials of the truncated exact product, within the cutoff
+    # monomials of the truncated exact product, within the cutoff, and
+    # each row it returns is canonical over a power of p and is the
+    # balanced rounding of the exact row
     k, r = levels
     A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
     assert MicroOp(leibniz_product(A.coeffs, B.coeffs, p, "x"), p) == full
     short = leibniz_product(A.coeffs, B.coeffs, p, "x", floor=(k, r, cutoff))
     want = full.truncate_below(k, r, cutoff).coeffs
     _assert_within_cutoff(MicroOp(short, p).coeffs, want, k, r, cutoff)
+    assert all(_canonical_over_a_power_of_p(c, p) for c in short.values())
+    rounded = frac_round_short(frac_op(full.coeffs), p, k, r, cutoff)
+    assert {n: row for n, row in frac_op(short).items() if row} == rounded
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from(PRIMES), levels=st.sampled_from(LEVELS), data=st.data())
 def test_rounded_short_product_against_truncated_oracle(p, levels, data):
-    # micro._short rounds each kept coefficient to its cutoff: at every
-    # power it stays within the cutoff of the truncated exact product,
-    # with the same monomials at the same valuations
+    # micro._short, the floored kernel as an operator, rounds each kept
+    # coefficient to its cutoff: at every power it stays within the cutoff
+    # of the truncated exact product, with the same monomials at the same
+    # valuations
     k, r = levels
     A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
     got = _short(A, B, k, r, cutoff).coeffs
     _assert_within_cutoff(got, full.truncate_below(k, r, cutoff).coeffs, k, r, cutoff)
-    for c in got.values():
-        # canonical form, over a power of p
-        assert c == TatePoly([Fraction(a, c.den) for a in c.num], p)
-        den = c.den
-        while den % p == 0:
-            den //= p
-        assert den == 1
+    assert all(_canonical_over_a_power_of_p(c, p) for c in got.values())
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from(PRIMES), levels=st.sampled_from(LEVELS), data=st.data())
 def test_rounded_short_product_is_the_rounded_exact_product(p, levels, data):
-    # what the kernel skips is below the cutoff, so the rounding of
-    # micro._short cannot see it: the result is the balanced rounding of
-    # the exact truncated product, computed on Fractions alone
+    # what the kernel skips is below the cutoff, so its rounding cannot
+    # see it: micro._short is the balanced rounding of the exact truncated
+    # product, computed on Fractions alone
     k, r = levels
     A, B, _, cutoff = _operands_and_cutoff(p, k, r, data)
     exact = frac_op_mul(frac_op(A.coeffs), frac_op(B.coeffs))
@@ -149,7 +155,7 @@ def test_rounded_short_product_is_the_rounded_exact_product(p, levels, data):
 def test_gauss_exponent_is_the_largest_coefficient_norm(p, levels, data):
     # TatePoly._gauss_exp takes v_p(den) alone when p divides den, which
     # holds in canonical form only: check it on checked rows, on exact
-    # products and on the rows micro._short builds without _canon
+    # products and on the rounded rows of the floored kernel
     k, r = levels
     A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
     for op in (A, B, full, _short(A, B, k, r, cutoff)):
@@ -187,11 +193,11 @@ def test_cancelling_sums(p, data):
     right = {0: f, -1: -(f.derivative() + c * f)}
     got = (MicroOp(left, p) * MicroOp(right, p)).coeffs
     assert 0 not in got
-    assert got == leibniz_oracle(left, MicroOp(right, p).coeffs, p, "x")
+    assert frac_op(got) == frac_op_mul(frac_op(left), frac_op(MicroOp(right, p).coeffs))
     right = {1: f, 0: -(f.derivative() + c * f)}
     got = (DiffOp(left, p) * DiffOp(right, p)).coeffs
     assert 1 not in got
-    assert got == leibniz_oracle(left, DiffOp(right, p).coeffs, p, "x")
+    assert frac_op(got) == frac_op_mul(frac_op(left), frac_op(DiffOp(right, p).coeffs))
 
 
 def test_kernel_on_empty_and_constant_maps():

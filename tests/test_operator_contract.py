@@ -110,6 +110,8 @@ def test_immutable_messages():
 def test_negative_powers_refused():
     with pytest.raises(ValueError, match="^negative powers need the Laurent ring$"):
         DiffOp({-1: 1}, p)
+    with pytest.raises(ValueError, match="^negative powers need the Laurent ring$"):
+        DiffOp.truncated({-1: 1}, p)
     with pytest.raises(ValueError, match="^negative power of a finite operator$"):
         P ** -1
     with pytest.raises(ValueError, match="^use the certified inverse for negative powers$"):

@@ -14,7 +14,7 @@ line count of each side.  An existing ``--out`` file of the same two
 revisions keeps the workloads this run does not measure.
 
 The file also holds the hard-case ladder, ``hard_ladder``: a list of
-rungs, each run three times per revision in alternating order, each run
+rungs, each run five times per revision in alternating order, each run
 in a fresh process capped at 60 s.  The first rungs invert the inversion
 workload's hard operator (``HARD_INVERT`` through ``hard_invert_operator``
 of each checkout's ``perfbench/workloads.py``, at p = 2, k = 2, r = 1) at
@@ -84,7 +84,7 @@ LADDER = (
      + "*d + 1", {"p": 101, "c": 3, "m": 2}),
 )
 LADDER_CAP_S = 60
-LADDER_REPEATS = 3
+LADDER_REPEATS = 5
 # one rung, run from the root of a checkout with the text and the levels of
 # LADDER as arguments (name=value); it times the inversion, the power, the
 # fiber-sum check or the cycle alone
