@@ -19,24 +19,21 @@ subadditive and derivatives do not raise the Gauss norm, so the norm is
 submultiplicative; the truncations of inversion rest on that.
 
 The only truncated computation in the module is inversion
-(:func:`micro_invert`).  It factors S = (1 + R) s_q d^q around the
-dominant term, so the inverse of s_q multiplies the geometric series on
-the left, as a function, and walks no derivative chain.  Each product on
-the way is a short product (``_short``): ``leibniz_product`` with a floor
-stops each derivative chain at its first term below the cutoff, skips the
-trailing entries whose products all fall below it, and rounds each row
-once to its cutoff.  The result keeps the monomials
-:meth:`MicroOp.truncate_below` would keep of the full product, at the
-same norms, over a denominator that is a power of p, with a numerator of
-about as many p-adic digits as the cutoff needs, and differs from it by
-less than the cutoff; what the product skipped is below what the rounding
-keeps, so the rounded result is that of the exact truncated product.
-This is the capped-precision model of Caruso, Roe and Vaccon, "Tracking
-p-adic precision" (2014); exact series coefficients would grow to
-hundreds of bits.  The cutoffs are derived so that one pass reaches the
-target: the inverse is cut at eps - max(0, |S|), and its residual
-|S*T - 1| is recomputed from the exact, unrounded product S*T; a miss
-raises ``PrecisionNotReached``.
+(:func:`micro_invert`): Newton's iteration T' = T + T(1 - S T) on the
+whole operator, from a one-monomial start u p^v d^-q, which squares the
+residual at every step.  Each product of a step is a short product
+(``_short``): ``leibniz_product`` with a floor stops each derivative
+chain at its first term below the cutoff, skips the trailing entries
+whose products all fall below it, and rounds each row once to its
+cutoff.  The result keeps the monomials :meth:`MicroOp.truncate_below`
+would keep of the full product, at the same norms, over a denominator
+that is a power of p, and differs from it by less than the cutoff.  This
+is the capped-precision model of Caruso, Roe and Vaccon, "Tracking
+p-adic precision" (2014); exact coefficients would grow to hundreds of
+bits.  The cutoffs of all steps are fixed in advance from the exact
+residual of the start, so that one pass reaches the target; the final
+residual |S*T - 1| is recomputed from the exact, unrounded product S*T,
+and a miss raises ``PrecisionNotReached``.
 """
 
 from __future__ import annotations
@@ -52,6 +49,7 @@ from .errors import (
 )
 from .residue import ResiduePoly
 from .scalars import NormExp, PAdicScalar
+from .scalars import _fraction_valuation as _val
 from .tatepoly import TatePoly, _as_exp, _canon
 from .weyl import DiffOp, _Operator, leibniz_product, weight
 
@@ -229,52 +227,55 @@ def _short(left: MicroOp, right: MicroOp, k: int, r: int, cutoff: int) -> MicroO
     return MicroOp._of(table, p, var)
 
 
+def _one_plus(table: dict, p: int, var: str) -> MicroOp:
+    """1 plus the operator of a {power: TatePoly} table, added in place to
+    its power-0 row."""
+    c = table.get(0)
+    num, den = (list(c.num), c.den) if c else ([0], 1)
+    num[0] += den
+    table[0] = _canon(num, den, p, var)
+    return MicroOp._of(table, p, var)
+
+
 def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     """Certified inverse in the (k, r) Laurent ring.
 
     Returns (T, rho) with the (k, r) norm of S*T - 1 equal to rho and
     rho < eps.
 
-    Left placement: with s_q d^q the dominant term and tail = S - s_q d^q,
-    S = (1 + R) s_q d^q where R = tail * (d^-q s_q^-1).  With g the
-    inverse of s_q on the disc to precision eps (``invert_on_disc``; exact
-    when s_q is a constant) in place of s_q^-1,
+    Start: with s_q d^q the dominant term, T0 = u p^v d^-q, where p^v u
+    rounds 1/s_q(0) to one p-adic digit (u the balanced residue mod p of
+    its unit part).  The unit verdict makes s_q(0) dominate s_q and every
+    tail term contract against s_q d^q, so E0 = 1 - S T0 has norm below 0;
+    T0 is one monomial, so E0 is computed exactly.
 
-        T = d^-q (g * sum_n (-R)^n),
+    Newton steps: T' = T + T E gives 1 - S T' = (1 - S T)^2 in this
+    noncommutative ring, so each step doubles the precision (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 9.1).  Both products of a
+    step are short products, cut and rounded in one pass
+    (``leibniz_product`` with a floor, as in ``_short``) so that each moves
+    its result by less than its cutoff.  The computed residual E is 1 plus
+    the short product of -S, negated once, and T, so E = (1 - S T) + d1
+    with d1 the error of that product; and T' = T + T E - d2 with d2 the
+    error of the short T E.  Then
 
-    so g multiplies the series on the left, as a function, and walks no
-    derivative chain; only the powers d^-q walk chains.
+        1 - S T' = E^2 - d1 (1 + E) + S d2.
 
-    Cutoffs: every product is a short product, cut and rounded in one pass
-    (``_short``) so that what it drops and what its rounding changes each
-    have norm below its cutoff, so together they move its result by less
-    than the cutoff.  That bound is all the derivation below uses.  With
-    g s_q = 1 + e, the identity S d^-q g = 1 + e + R is exact, so
+    The cutoffs are fixed in advance from |E0|: c_1 = max(eps, 2|E0| + 1)
+    and c_(i+1) = max(eps, 2(c_i - 1) + 1), until c_i = eps; there are none
+    when |E0| < eps already.  Step i cuts T E at c_i - max(0, |S|) and,
+    unless it is the last, computes the next residual at c_(i+1).  By
+    induction |1 - S T| < c_i after step i, so the next E, which differs
+    from it by d1 with |d1| < c_(i+1) <= c_i, has |E| <= c_i - 1; then
+    |E^2| < c_(i+1), |d1 (1 + E)| = |d1| < c_(i+1) and |S d2| <= |S| + |d2|
+    < c_(i+1), since the norm is submultiplicative.  The first E is exact,
+    d1 = 0, and |E0^2| < c_1.  T keeps denominators that are powers of
+    p; it is one certified inverse among many, fixed by the balanced
+    residues of the start and the rounding.
 
-        S T - 1 = -(-R)^(L+1) + (1 + R) E + (e + dR + tail dG) A
-                  - S d^-q dU - S dT
-
-    where A is the computed series and E its truncation error, and dG,
-    dR, dU, dT are the errors (dropped plus rounded parts) of the products
-    for d^-q g, R, U = g A and T.  The unit verdict gives |R| < 0, hence
-    |1 + R| = 0 and |A| <= 0, since rounding keeps every monomial and its
-    norm; the (k, r) norm is submultiplicative and |tail| <= |S|.  So
-    every term is below eps when R and the series are cut at eps, U at
-    eps - max(0, |S| + weight(-q)), and d^-q g and T at eps - max(0, |S|),
-    and the series stops at the first L with (L+1)|R| < eps or at a power
-    that truncates to zero.  The cut of T keeps it short.
-
-    The first power of the series is -R itself; each later one is the
-    previous power P times -R, after P is cut at eps - |R| and -R at
-    eps - |P|: for X = X' + dX with |dX| < c - |Y| and
-    Y = Y' + dY with |dY| < c - |X|, XY - X'Y' = dX Y' + X dY has norm
-    below c, so the next power still misses P(-R) by less than eps.
-
-    Certificate: rho is recomputed from the full exact product S*T.  The
-    bound above puts it below eps, so there is one pass; a miss raises
-    ``PrecisionNotReached`` at once.  T has denominators that are powers
-    of p; it is one certified inverse among many, fixed by the balanced
-    residues of the rounding.
+    Certificate: rho is recomputed from the full exact product of -S and T.
+    The bound above puts it below eps, so there is one pass; a miss raises
+    ``PrecisionNotReached`` at once.
     """
     eps_exp = _as_exp(eps)
     verdict = micro_unit_verdict(S, k, r)
@@ -282,36 +283,30 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
         raise NotInvertibleHere(f"unit test failed: {verdict}")
     q = verdict.q
     p, var = S.p, S.var
-    tail = MicroOp._of({n: c for n, c in S.coeffs.items() if n != q}, p, var)
-    d_inv = MicroOp.d_power(-q, p, var)
-    norm_s = S._norm_exp(k, r)
-    g = MicroOp.from_poly(S.coeffs[q].invert_on_disc(eps_exp)[0])
-    outer = eps_exp - max(0, norm_s)
-    minus_r = -_short(tail, _short(d_inv, g, k, r, outer), k, r, eps_exp)
-    # R contracts, so its exponent is at most -1; the smallest L with
-    # (L+1)*exp < eps bounds the series
-    rnorm = minus_r._norm_exp(k, r)
-    terms = 0 if rnorm is None else max(0, eps_exp // rnorm)
-    acc = MicroOp.one(p, var)
-    power = minus_r
-    for n in range(terms):
-        if n:
-            # below eps, a factor matters only down to eps less the other's norm
-            left = power.truncate_below(k, r, eps_exp - rnorm)
-            right = minus_r.truncate_below(k, r, eps_exp - power._norm_exp(k, r))
-            power = _short(left, right, k, r, eps_exp)
-            if power.is_zero():
-                break
-        acc = acc + power
-    inner = eps_exp - max(0, norm_s + weight(-q, k, r))
-    T = _short(d_inv, _short(g, acc, k, r, inner), k, r, outer)
-    # S*T - 1: the exact product with 1 taken off its power-0 coefficient
-    table = leibniz_product(S.coeffs, T.coeffs, p, var)
-    c = table.get(0)
-    num, den = (list(c.num), c.den) if c else ([0], 1)
-    num[0] -= den
-    table[0] = _canon(num, den, p, var)
-    rho = MicroOp._of(table, p, var).norm(k, r)
+    # T0 = u p^v d^-q with p^v u the one-digit rounding of 1/s_q(0)
+    a0, den = S.coeffs[q].num[0], S.coeffs[q].den
+    vd, va = _val(den, p), _val(a0, p)
+    lo = (p - 1) // 2
+    u = (den // p**vd * pow(a0 // p**va, -1, p) + lo) % p - lo
+    T = MicroOp.d_power(-q, p, var, Fraction(u * p**vd, p**va))
+    minus_s = -S
+
+    def residual(floor=None):
+        return _one_plus(leibniz_product(minus_s.coeffs, T.coeffs, p, var, floor), p, var)
+
+    E = residual()
+    e = E._norm_exp(k, r)
+    if e is not None and e >= eps_exp:
+        cutoffs = [max(eps_exp, 2 * e + 1)]
+        while cutoffs[-1] > eps_exp:
+            cutoffs.append(max(eps_exp, 2 * cutoffs[-1] - 1))
+        norm_s = max(0, S._norm_exp(k, r))
+        for i, c in enumerate(cutoffs):
+            if i:
+                E = residual((k, r, c))
+            T = T + _short(T, E, k, r, c - norm_s)
+        E = residual()
+    rho = E.norm(k, r)
     if not rho < NormExp(eps_exp):
         raise PrecisionNotReached(f"no inverse within p^{eps_exp}: residual {rho}")
     return T, rho

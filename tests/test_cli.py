@@ -314,14 +314,10 @@ def test_kernel_value_errors_give_documents(capsys, argv, error):
 
 
 def test_precision_not_reached_exit_code(capsys, monkeypatch):
-    from padicdx import TatePoly
+    from padicdx import MicroOp, micro
 
-    # an inverse of the constant term only: wrong by p*x at every precision
-    monkeypatch.setattr(
-        TatePoly,
-        "invert_on_disc",
-        lambda f, eps: (TatePoly.constant(1 / f.constant_term(), f.p, f.var), None),
-    )
+    # Newton steps that add nothing: the start 1 is wrong by p*x
+    monkeypatch.setattr(micro, "_short", lambda left, *_: MicroOp.zero(left.p, left.var))
     code, doc = run(capsys, "micro-invert", "-p", "2", "--eps", "-4", "1 + p*x")
     assert code == 2
     assert doc["error"]["type"] == "PrecisionNotReached"

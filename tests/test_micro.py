@@ -24,6 +24,7 @@ from padicdx import (
     micro_invert,
     micro_unit_verdict,
 )
+from padicdx import micro
 from padicdx.opparse import parse, to_micro_op
 from helpers import HARD_INVERT, rand_microop, rand_poly
 
@@ -353,6 +354,30 @@ def test_hard_inverse_stays_small():
         assert all(abs(a) < bound for a in c.num)
 
 
+def test_newton_steps_double_the_precision(monkeypatch):
+    # each Newton step squares the residual, so doubling |eps| adds one step,
+    # two short products, where a series would double their number; T keeps
+    # denominators that are powers of p
+    p, k, r = 2, 2, 1
+    S = to_micro_op(parse(HARD_INVERT, micro=True), p)
+    floored = []
+    product = micro.leibniz_product
+
+    def counted(left, right, p, var, floor=None):
+        floored.append(floor is not None)
+        return product(left, right, p, var, floor)
+
+    monkeypatch.setattr(micro, "leibniz_product", counted)
+    counts = []
+    for eps in (-12, -24, -48):
+        floored.clear()
+        T, rho = micro_invert(S, k, r, eps)
+        assert rho < NormExp(eps)
+        assert all(c.den & (c.den - 1) == 0 for c in T.coeffs.values())
+        counts.append(sum(floored))
+    assert counts[1] - counts[0] == counts[2] - counts[1] == 2
+
+
 def test_inversion_attempts_are_bounded(monkeypatch):
     import time
 
@@ -363,11 +388,12 @@ def test_inversion_attempts_are_bounded(monkeypatch):
     T, rho = micro_invert(S, 2, 1, -4)
     assert rho < NormExp(-4)
 
-    # an inverse of the constant term only: S*T - 1 keeps norm 2^-1
-    def inexact(f, eps):
-        return TatePoly.constant(1 / f.constant_term(), f.p, f.var), NEG_INF
+    # Newton steps that add nothing: T stays the start 1, and S*T - 1 keeps
+    # norm 2^-1
+    def no_step(left, right, k, r, cutoff):
+        return MicroOp.zero(left.p, left.var)
 
-    monkeypatch.setattr(TatePoly, "invert_on_disc", inexact)
+    monkeypatch.setattr(micro, "_short", no_step)
     start = time.perf_counter()
     with pytest.raises(PrecisionNotReached, match=r"^no inverse within p\^-4: residual p\^-1$"):
         micro_invert(S, 2, 1, -4)

@@ -18,7 +18,7 @@ rungs, each run five times per revision in alternating order, each run
 in a fresh process capped at 60 s.  The first rungs invert the inversion
 workload's hard operator (``HARD_INVERT`` through ``hard_invert_operator``
 of each checkout's ``perfbench/workloads.py``, at p = 2, k = 2, r = 1) at
-eps -24, -36, -48 and -96; the next inverts ``SEED71_UNIT`` below at
+eps -24, -36, -48, -96 and -192; the next inverts ``SEED71_UNIT`` below at
 p = 7, k = r = 1, eps -14; ``DENSE_POWER`` raises x + 1 to the power 2000
 at p = 2, the dense polynomial product at large degree and with wide
 coefficients; ``NARROW_SQUARE`` squares 7 times the sum of x^i for
@@ -75,6 +75,7 @@ LADDER = (
     ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -36}),
     ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -48}),
     ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -96}),
+    ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -192}),
     ("SEED71_UNIT", SEED71_UNIT, {"p": 7, "k": 1, "r": 1, "eps": -14}),
     ("DENSE_POWER", "x + 1", {"p": 2, "exponent": 2000}),
     ("NARROW_SQUARE", " + ".join(f"7*x^{i}" for i in range(1000)), {"p": 2, "exponent": 2}),
