@@ -21,19 +21,19 @@ submultiplicative; the truncations of inversion rest on that.
 The only truncated computation in the module is inversion
 (:func:`micro_invert`): Newton's iteration T' = T + T(1 - S T) on the
 whole operator, from a one-monomial start u p^v d^-q, which squares the
-residual at every step.  Each product of a step is a short product
-(``_short``): ``leibniz_product`` with a floor stops each derivative
-chain at its first term below the cutoff, skips the trailing entries
-whose products all fall below it, and rounds each row once to its
-cutoff.  The result keeps the monomials :meth:`MicroOp.truncate_below`
-would keep of the full product, at the same norms, over a denominator
-that is a power of p, and differs from it by less than the cutoff.  This
-is the capped-precision model of Caruso, Roe and Vaccon, "Tracking
-p-adic precision" (2014); exact coefficients would grow to hundreds of
-bits.  The cutoffs of all steps are fixed in advance from the exact
-residual of the start, so that one pass reaches the target; the final
-residual |S*T - 1| is recomputed from the exact, unrounded product S*T,
-and a miss raises ``PrecisionNotReached``.
+residual at every step.  Each product of a step is a short product:
+``leibniz_product`` with a floor (``_short`` as an operator) stops each
+derivative chain at its first term below the cutoff, skips the trailing
+entries whose products all fall below it, and rounds each row once to
+its cutoff.  The result keeps the monomials
+:meth:`MicroOp.truncate_below` would keep of the full product, at the
+same norms, over a denominator that is a power of p, and differs from it
+by less than the cutoff.  This is the capped-precision model of Caruso,
+Roe and Vaccon, "Tracking p-adic precision" (2014); exact coefficients
+would grow to hundreds of bits.  The cutoffs of all steps are fixed in
+advance from the exact residual of the start, so that one pass reaches
+the target; the final residual |S*T - 1| is recomputed from the exact,
+unrounded product S*T, and a miss raises ``PrecisionNotReached``.
 """
 
 from __future__ import annotations
@@ -291,10 +291,10 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     T = MicroOp.d_power(-q, p, var, Fraction(u * p**vd, p**va))
     minus_s = -S
 
-    def residual(floor=None):
+    def residual(T, floor=None):
         return _one_plus(leibniz_product(minus_s.coeffs, T.coeffs, p, var, floor), p, var)
 
-    E = residual()
+    E = residual(T)
     e = E._norm_exp(k, r)
     if e is not None and e >= eps_exp:
         cutoffs = [max(eps_exp, 2 * e + 1)]
@@ -303,9 +303,9 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
         norm_s = max(0, S._norm_exp(k, r))
         for i, c in enumerate(cutoffs):
             if i:
-                E = residual((k, r, c))
+                E = residual(T, (k, r, c))
             T = T + _short(T, E, k, r, c - norm_s)
-        E = residual()
+        E = residual(T)
     rho = E.norm(k, r)
     if not rho < NormExp(eps_exp):
         raise PrecisionNotReached(f"no inverse within p^{eps_exp}: residual {rho}")

@@ -21,10 +21,10 @@ from padicdx import (
     TatePoly,
     ZeroOperator,
     finite_order_verdict,
+    micro,
     micro_invert,
     micro_unit_verdict,
 )
-from padicdx import micro
 from padicdx.opparse import parse, to_micro_op
 from helpers import HARD_INVERT, rand_microop, rand_poly
 
