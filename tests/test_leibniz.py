@@ -127,6 +127,33 @@ def test_short_product_against_truncated_oracle(p, levels, data):
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from(PRIMES), levels=st.sampled_from(LEVELS), data=st.data())
+def test_rounded_short_product_against_truncated_oracle(p, levels, data):
+    # micro._short, the floored kernel as an operator, rounds each kept
+    # coefficient to its cutoff: at every power it stays within the cutoff
+    # of the truncated exact product, with the same monomials at the same
+    # valuations
+    k, r = levels
+    A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
+    got = _short(A, B, k, r, cutoff).coeffs
+    _assert_within_cutoff(got, full.truncate_below(k, r, cutoff).coeffs, k, r, cutoff)
+    assert all(_canonical_over_a_power_of_p(c, p) for c in got.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), levels=st.sampled_from(LEVELS), data=st.data())
+def test_rounded_short_product_is_the_rounded_exact_product(p, levels, data):
+    # what the kernel skips is below the cutoff, so its rounding cannot
+    # see it: micro._short is the balanced rounding of the exact truncated
+    # product, computed on Fractions alone
+    k, r = levels
+    A, B, _, cutoff = _operands_and_cutoff(p, k, r, data)
+    exact = frac_op_mul(frac_op(A.coeffs), frac_op(B.coeffs))
+    want = frac_round_short(exact, p, k, r, cutoff)
+    assert frac_op(_short(A, B, k, r, cutoff).coeffs) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), levels=st.sampled_from(LEVELS), data=st.data())
 def test_gauss_exponent_is_the_largest_coefficient_norm(p, levels, data):
     # TatePoly._gauss_exp takes v_p(den) alone when p divides den, which
     # holds in canonical form only: check it on checked rows, on exact
