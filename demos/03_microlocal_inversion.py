@@ -2,8 +2,9 @@
 
 Negative powers of the derivation act on functions through a finite
 alternating expansion, so products stay exact; the only truncated
-computation is the geometric-series inverse.  Its coefficients are
-rounded to the precision the target needs, and it returns its residual
+computation is the inverse.  Newton's iteration finds it, each step
+doubling the precision; the short products of a step are rounded to
+the precision the target needs, and the inverse comes with its residual
 norm recomputed exactly.
 Run with: python demos/03_microlocal_inversion.py
 """

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .micro import FailsDecay, finite_order_verdict
+from .micro import _decay_level
 from .residue import ClosedPoint, factor_reduction
 from .weyl import DiffOp
 
@@ -84,9 +84,7 @@ def infinite_support(P: DiffOp) -> SupportReport:
     normalized, _ = lead.normalize()
     reduced = normalized.reduce()
     points = [] if reduced.is_constant() else factor_reduction(reduced)
-    verdict = finite_order_verdict(P, 1)
-    rmin = verdict.rmin if isinstance(verdict, FailsDecay) else 1
-    return SupportReport(rmin, _sorted_points(points))
+    return SupportReport(_decay_level(P), _sorted_points(points))
 
 
 def char_cycle(P: DiffOp) -> CharCycle:

@@ -46,8 +46,9 @@ from .weyl import ConnectionMatrix, commutator, connection_level
 
 ENV_PRIME = "PADICDX_DEFAULT_PRIME"
 PRIME_LIMIT = 2**64  # is_prime is exact far beyond this
-# largest |eps|: it bounds the size of an inversion (about |eps| series terms
-# of about |eps| p-adic digits for a tail of norm p^-1), not its time
+# largest |eps|: it bounds the size of an inversion (about log2 |eps| Newton
+# steps toward an inverse of about |eps| terms of about |eps| p-adic digits
+# for a tail of norm p^-1), not its time
 MAX_EPS = 2000
 
 

@@ -312,6 +312,20 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     return T, rho
 
 
+def _decay_level(P: DiffOp) -> int:
+    """The least level r >= 1 at which the nonzero finite operator P of
+    degree d meets the decay condition e(n) < e(d) + r*(d - n) for every
+    lower index n, e(n) the Gauss exponent of its coefficient at d^n."""
+    d = P.degree()
+    e_top = P.coefficient(d)._gauss_exp()
+    rmin = 1
+    for n, c in P.coeffs.items():
+        if n < d:
+            # least integer level rr with gap < rr * (d - n)
+            rmin = max(rmin, (c._gauss_exp() - e_top) // (d - n) + 1)
+    return rmin
+
+
 def finite_order_verdict(P: DiffOp, r: int):
     """Microlocal invertibility of a finite operator at a given level.
 
@@ -325,19 +339,10 @@ def finite_order_verdict(P: DiffOp, r: int):
     if r < 1:
         raise BadLevels(f"microlocal level must be at least 1, got {r}")
     P._require_finite("analysis undefined for a truncated operator", "zero operator")
-    d = P.degree()
-    lead = P.coefficient(d)
-    e_top = lead._gauss_exp()
-    rmin = 1
-    for n, c in P.coeffs.items():
-        if n == d:
-            continue
-        gap = c._gauss_exp() - e_top
-        # least integer level rr with gap < rr * (d - n)
-        rr = gap // (d - n) + 1
-        rmin = max(rmin, rr)
+    rmin = _decay_level(P)
     if rmin > r:
         return FailsDecay(rmin)
+    lead = P.leading_coefficient()
     if lead.is_unit_on_disc():
         return EverywhereInvertible()
     normalized, _ = lead.normalize()

@@ -34,6 +34,7 @@ from .errors import (
     ParseError,
 )
 from .micro import MicroOp
+from .residue import _format_terms
 from .scalars import is_prime
 from .tatepoly import TatePoly, _make
 from .weyl import DiffOp
@@ -103,15 +104,22 @@ _D, _P = Symbol("d"), Symbol("p")
 
 # lexer
 
-_TOK_INT = "int"
-_TOK_SYM = "sym"
-_TOK_OP = "op"
-_TOK_EOF = "eof"
 # str.isdigit would also accept superscripts and other scripts' digits
 _DIGITS = frozenset("0123456789")
+_SYMBOLS = frozenset(VARIABLES + ("d", "p"))
 
 
-def _tokenize(src: str) -> list[tuple[str, object, int]]:
+def _digits_end(src: str, i: int) -> int:
+    """The end of the run of ASCII digits that starts at i."""
+    n = len(src)
+    while i < n and src[i] in _DIGITS:
+        i += 1
+    return i
+
+
+def _tokenize(src: str) -> list[tuple[object, int]]:
+    """(value, position) tokens.  The value is a (numerator, denominator)
+    pair, an operator or symbol character, or None at the end."""
     out = []
     i = 0
     n = len(src)
@@ -119,40 +127,27 @@ def _tokenize(src: str) -> list[tuple[str, object, int]]:
         ch = src[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and src[j] in _DIGITS:
-                j += 1
-            num = int(src[i:j])
+        elif ch in _DIGITS:
+            j = _digits_end(src, i)
+            num, den = int(src[i:j]), 1
             if j < n and src[j] == "/":
-                k = j + 1
-                if k >= n or src[k] not in _DIGITS:
+                k = _digits_end(src, j + 1)
+                if k == j + 1:
                     raise ParseError("expected digits after '/'", j)
-                m = k
-                while m < n and src[m] in _DIGITS:
-                    m += 1
-                den = int(src[k:m])
+                den = int(src[j + 1 : k])
                 if den == 0:
-                    raise ParseError("zero denominator", k)
-                out.append((_TOK_INT, (num, den), i))
-                i = m
-            else:
-                out.append((_TOK_INT, (num, 1), i))
-                i = j
-            continue
-        if ch.isalpha():
-            if ch in VARIABLES or ch in ("d", "p"):
-                out.append((_TOK_SYM, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unknown symbol {ch!r}", i)
-        if ch in "+-*^()":
-            out.append((_TOK_OP, ch, i))
+                    raise ParseError("zero denominator", j + 1)
+                j = k
+            out.append(((num, den), i))
+            i = j
+        elif ch in _SYMBOLS or ch in "+-*^()":
+            out.append((ch, i))
             i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append((_TOK_EOF, None, n))
+        elif ch.isalpha():
+            raise ParseError(f"unknown symbol {ch!r}", i)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    out.append((None, n))
     return out
 
 
@@ -162,88 +157,65 @@ class _Parser:
         self.pos = 0
         self.micro = micro
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, at = self.peek()
-        if kind != _TOK_OP or value != op:
-            raise ParseError(f"expected {op!r}", at)
-        return self.advance()
+    def take(self, ops: str) -> str | None:
+        """The next token, consumed, if it is one of the operators ops."""
+        value = self.tokens[self.pos][0]
+        if isinstance(value, str) and value in ops:
+            self.pos += 1
+            return value
+        return None
 
     def parse_expr(self):
-        kind, value, _ = self.peek()
-        negate_first = kind == _TOK_OP and value == "-"
-        if negate_first:
-            self.advance()
-        first = self.parse_term()
-        terms = [Neg(first) if negate_first else first]
+        terms = []
+        op = self.take("-")
         while True:
-            kind, value, _ = self.peek()
-            if kind == _TOK_OP and value in "+-":
-                self.advance()
-                term = self.parse_term()
-                terms.append(Neg(term) if value == "-" else term)
-            else:
-                break
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            term = self.parse_term()
+            terms.append(Neg(term) if op == "-" else term)
+            op = self.take("+-")
+            if op is None:
+                return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def parse_term(self):
         factors = [self.parse_factor()]
-        while True:
-            kind, value, _ = self.peek()
-            if kind == _TOK_OP and value == "*":
-                self.advance()
-                factors.append(self.parse_factor())
-            else:
-                break
+        while self.take("*"):
+            factors.append(self.parse_factor())
         return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def parse_factor(self):
         atom = self.parse_atom()
-        kind, value, _ = self.peek()
-        if kind == _TOK_OP and value == "^":
-            self.advance()
-            exponent = self.parse_exponent(atom)
-            return Power(atom, exponent)
+        if self.take("^"):
+            return Power(atom, self.parse_exponent(atom))
         return atom
 
     def parse_exponent(self, base) -> int:
-        negative = False
-        kind, value, at = self.peek()
-        if kind == _TOK_OP and value == "-":
-            if base == _D:
-                if not self.micro:
-                    raise NegativePowerOutsideMicroMode(
-                        "inverse powers of d need the Laurent ring"
-                    )
-            elif base != _P:
+        negative = self.take("-")
+        if negative and base != _P:
+            if base != _D:
+                at = self.tokens[self.pos - 1][1]
                 raise ParseError("negative exponent only on d or p", at)
-            negative = True
-            self.advance()
-        kind, value, at = self.peek()
-        if kind != _TOK_INT or value[1] != 1:
+            if not self.micro:
+                raise NegativePowerOutsideMicroMode(
+                    "inverse powers of d need the Laurent ring"
+                )
+        value, at = self.tokens[self.pos]
+        if not isinstance(value, tuple) or value[1] != 1:
             raise ParseError("expected an integer exponent", at)
-        self.advance()
-        exp = value[0]
-        return -exp if negative else exp
+        self.pos += 1
+        return -value[0] if negative else value[0]
 
     def parse_atom(self):
-        kind, value, at = self.advance()
-        if kind == _TOK_INT:
-            return Rational(*value)
-        if kind == _TOK_SYM:
+        value, at = self.tokens[self.pos]
+        self.pos += 1
+        if value in _SYMBOLS:
             return Symbol(value)
-        if kind == _TOK_OP and value == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return Paren(inner)
-        raise ParseError("expected a value", at)
+        if isinstance(value, tuple):
+            return Rational(*value)
+        if value != "(":
+            raise ParseError("expected a value", at)
+        inner = self.parse_expr()
+        if not self.take(")"):
+            raise ParseError("expected ')'", self.tokens[self.pos][1])
+        return Paren(inner)
 
 
 def parse(src: str, micro: bool = False):
@@ -255,8 +227,8 @@ def parse(src: str, micro: bool = False):
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(src), micro)
     tree = parser.parse_expr()
-    kind, _, at = parser.peek()
-    if kind != _TOK_EOF:
+    value, at = parser.tokens[parser.pos]
+    if value is not None:
         raise ParseError("trailing input", at)
     return tree
 
@@ -272,6 +244,12 @@ def _atomic(node) -> bool:
     return False
 
 
+def _group(node, kinds) -> str:
+    """The text of node, parenthesized when it is one of the given kinds."""
+    text = print_expr(node)
+    return f"({text})" if isinstance(node, kinds) else text
+
+
 def print_expr(node) -> str:
     """Render a syntax tree; parse of the result recovers the tree up to
     the parentheses the rendering itself introduces."""
@@ -284,40 +262,30 @@ def print_expr(node) -> str:
     if isinstance(node, Paren):
         return f"({print_expr(node.inner)})"
     if isinstance(node, Neg):
-        inner = print_expr(node.operand)
-        if isinstance(node.operand, (Sum, Neg)):
-            inner = f"({inner})"
-        return f"-{inner}"
+        return "-" + _group(node.operand, (Sum, Neg))
     if isinstance(node, Power):
         base = print_expr(node.base)
         if not _atomic(node.base):
             base = f"({base})"
         return f"{base}^{node.exponent}"
     if isinstance(node, Product):
-        parts = []
-        for f in node.factors:
-            text = print_expr(f)
-            if isinstance(f, (Sum, Neg)):
-                text = f"({text})"
-            parts.append(text)
-        return "*".join(parts)
+        return "*".join(_group(f, (Sum, Neg)) for f in node.factors)
     if isinstance(node, Sum):
-        out = print_expr(node.terms[0])
-        if isinstance(node.terms[0], Sum):
-            out = f"({out})"
-        for term in node.terms[1:]:
-            if isinstance(term, Neg):
-                text = print_expr(term.operand)
-                if isinstance(term.operand, (Sum, Neg)):
-                    text = f"({text})"
-                out += f" - {text}"
-            else:
-                text = print_expr(term)
-                if isinstance(term, Sum):
-                    text = f"({text})"
-                out += f" + {text}"
-        return out
+        return _format_terms(
+            (True, _group(t.operand, (Sum, Neg))) if isinstance(t, Neg)
+            else (False, _group(t, Sum))
+            for t in node.terms
+        )
     raise TypeError(f"not a syntax tree node: {node!r}")
+
+
+def _splice(node, field: str):
+    """node with its children, given by field, stripped, and the children
+    of its own kind replaced by theirs."""
+    out = []
+    for child in map(strip_parens, getattr(node, field)):
+        out.extend(getattr(child, field) if isinstance(child, type(node)) else (child,))
+    return type(node)(tuple(out))
 
 
 def strip_parens(node):
@@ -326,23 +294,9 @@ def strip_parens(node):
     if isinstance(node, Paren):
         return strip_parens(node.inner)
     if isinstance(node, Sum):
-        terms = []
-        for t in node.terms:
-            t = strip_parens(t)
-            if isinstance(t, Sum):
-                terms.extend(t.terms)
-            else:
-                terms.append(t)
-        return Sum(tuple(terms))
+        return _splice(node, "terms")
     if isinstance(node, Product):
-        factors = []
-        for f in node.factors:
-            f = strip_parens(f)
-            if isinstance(f, Product):
-                factors.extend(f.factors)
-            else:
-                factors.append(f)
-        return Product(tuple(factors))
+        return _splice(node, "factors")
     if isinstance(node, Power):
         return Power(strip_parens(node.base), node.exponent)
     if isinstance(node, Neg):

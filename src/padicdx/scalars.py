@@ -45,8 +45,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class _Immutable:
+    """A value whose slots are set once, in its constructor.  Copies and
+    pickles are rebuilt slot by slot through the slot descriptors, as the
+    kernel's trusted constructors build values, so no slot (the truncation
+    tag of an operator included) is lost or checked again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        cls = type(self)
+        names = [name for k in cls.__mro__ for name in k.__dict__.get("__slots__", ())]
+        return _rebuild, (cls, {name: getattr(self, name) for name in names})
+
+
+def _rebuild(cls, slots: dict):
+    """The value of an ``_Immutable`` class cls with the given slot values."""
+    obj = object.__new__(cls)
+    for name, value in slots.items():
+        getattr(cls, name).__set__(obj, value)
+    return obj
+
+
 @total_ordering
-class NormExp:
+class NormExp(_Immutable):
     """A norm value p**exp on the exponent scale.
 
     ``exp`` is an integer, or ``None`` for the bottom element (norm zero,
@@ -61,12 +86,6 @@ class NormExp:
         if exp is not None and not isinstance(exp, int):
             raise TypeError("norm exponent must be an int or None")
         object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormExp is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.exp,)
 
     def is_neg_inf(self) -> bool:
         return self.exp is None
@@ -118,25 +137,13 @@ NEG_INF = NormExp(None)
 NormExp.NEG_INF = NEG_INF
 
 
-class _Ring:
+class _Ring(_Immutable):
     """The ring code the polynomial and operator classes share:
-    immutability, subtraction through negation and powers by squaring.
-    A subclass provides ``_check`` (an operand of the ring, or None),
-    ``+``, unary ``-``, ``*``, ``one(p, var)`` and the message
-    ``_NEGATIVE_POWER``.  Copies and pickles are rebuilt slot by slot
-    through the slot descriptors, as the kernel's trusted constructors
-    build values, so no slot (the truncation tag of an operator
-    included) is lost or checked again."""
+    subtraction through negation and powers by squaring.  A subclass
+    provides ``_check`` (an operand of the ring, or None), ``+``, unary
+    ``-``, ``*``, ``one(p, var)`` and the message ``_NEGATIVE_POWER``."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        cls = type(self)
-        names = [name for k in cls.__mro__ for name in k.__dict__.get("__slots__", ())]
-        return _rebuild, (cls, {name: getattr(self, name) for name in names})
 
     def __sub__(self, other):
         o = self._check(other)
@@ -167,14 +174,6 @@ class _Ring:
         return out
 
 
-def _rebuild(cls, slots: dict):
-    """The value of a ``_Ring`` class cls with the given slot values."""
-    obj = object.__new__(cls)
-    for name, value in slots.items():
-        getattr(cls, name).__set__(obj, value)
-    return obj
-
-
 def _fraction_valuation(n: int, p: int) -> int:
     """Exponent of p in the nonzero integer n: the count of trailing zero
     bits for p = 2, one division per factor otherwise."""
@@ -187,7 +186,7 @@ def _fraction_valuation(n: int, p: int) -> int:
     return v
 
 
-class PAdicScalar:
+class PAdicScalar(_Immutable):
     """An exact element of the p-adic ground field.
 
     Stored as a reduced :class:`fractions.Fraction` together with the
@@ -202,12 +201,6 @@ class PAdicScalar:
             raise ValueError(f"{p} is not a prime")
         object.__setattr__(self, "value", Fraction(value))
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PAdicScalar is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.value, self.p)
 
     # constructors
 

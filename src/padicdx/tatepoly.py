@@ -112,9 +112,6 @@ class TatePoly(_DensePoly):
             raise ZeroInput("zero polynomial has no leading coefficient")
         return self.coefficient(len(self.num) - 1)
 
-    def constant_term(self) -> PAdicScalar:
-        return self.coefficient(0)
-
     def _check(self, other):
         if isinstance(other, (int, Fraction, PAdicScalar)):
             return TatePoly((other,), self.p, self.var)

@@ -27,7 +27,7 @@ from itertools import zip_longest
 
 from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
 from .residue import _format_terms, _mul_into
-from .scalars import NormExp, PAdicScalar, _Ring
+from .scalars import NormExp, PAdicScalar, _Immutable, _Ring
 from .scalars import _fraction_valuation as _val
 from .tatepoly import TatePoly, _canon
 
@@ -401,7 +401,7 @@ def commutator(P: DiffOp, Q: DiffOp) -> DiffOp:
     return P * Q - Q * P
 
 
-class ConnectionMatrix:
+class ConnectionMatrix(_Immutable):
     """A square matrix of polynomial functions acting as a derivation
     datum on a free module, together with the sup norm of its entries."""
 
@@ -418,12 +418,6 @@ class ConnectionMatrix:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConnectionMatrix is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.entries, self.p, self.var)
 
     def sup_norm(self) -> NormExp:
         return NormExp(

@@ -186,3 +186,30 @@ def test_round_trip_canonical_operator_text():
     ):
         P = to_diff_op(parse(src), p)
         assert to_diff_op(parse(str(P)), p) == P
+
+
+# every error site of parse: (source, Laurent mode, type, message, position)
+PARSE_ERRORS = [
+    ("1/ 2", False, ParseError, "expected digits after '/'", 1),
+    ("x + 1/0", False, ParseError, "zero denominator", 6),
+    ("é", False, ParseError, "unknown symbol 'é'", 0),
+    ("x²", False, ParseError, "unexpected character '²'", 1),
+    ("x^-2", True, ParseError, "negative exponent only on d or p", 2),
+    ("x^", False, ParseError, "expected an integer exponent", 2),
+    ("x +", False, ParseError, "expected a value", 3),
+    ("(x))", False, ParseError, "trailing input", 3),
+    ("   ", False, ParseError, "empty expression", 0),
+    ("d^-1", False, NegativePowerOutsideMicroMode, "inverse powers of d need the Laurent ring", None),
+]
+
+
+@pytest.mark.parametrize("src, micro, kind, message, position", PARSE_ERRORS)
+def test_parse_error_sites(src, micro, kind, message, position):
+    with pytest.raises(kind) as err:
+        parse(src, micro=micro)
+    assert type(err.value) is kind
+    if position is None:
+        assert str(err.value) == message
+    else:
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
