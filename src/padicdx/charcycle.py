@@ -89,19 +89,11 @@ def infinite_support(P: DiffOp) -> SupportReport:
 
 def char_cycle(P: DiffOp) -> CharCycle:
     """Characteristic cycle of the cyclic module presented by P."""
-    return _cycle_and_support(P)[0]
-
-
-def _cycle_and_support(P: DiffOp) -> tuple[CharCycle, SupportReport]:
-    """``char_cycle(P)`` and ``infinite_support(P)``, factoring once."""
     P._require_finite(
         "cycle undecidable for a truncated operator",
         "the module presented by zero is not cyclic-finite",
     )
-    if P.is_disc_unit():  # order zero: decay holds at level 1, no support
-        return CharCycle(0, ()), SupportReport(1, ())
-    report = infinite_support(P)
-    return CharCycle(P.degree(), report.points), report
+    return CharCycle(P.degree(), infinite_support(P).points)
 
 
 def cc_add(c1: CharCycle, c2: CharCycle) -> CharCycle:

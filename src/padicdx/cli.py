@@ -39,7 +39,7 @@ from .errors import (
     NegativePowerOutsideMicroMode,
     ParseError,
 )
-from .micro import finite_order_verdict, micro_invert, micro_unit_verdict
+from .micro import _decay_level, finite_order_verdict, micro_invert, micro_unit_verdict
 from .residue import ResiduePoly
 from .scalars import NormExp, PAdicScalar, is_prime
 from .weyl import ConnectionMatrix, commutator, connection_level
@@ -88,12 +88,19 @@ def parse_blowup_spec(text: str, prime: int) -> BlowupModel:
     match = _BLOWUP_RE.match(text.strip())
     if not match:
         raise ConfigError(f"bad blow-up spec {text!r}, expected c=<scalar>,m=<int>")
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(digits) > limit for digits in re.findall("[0-9]+", text)):
+        raise ConfigError(f"blow-up spec has an integer of more than {limit} digits")
     c_text = match.group("c")
     if c_text.startswith("p"):
         exp = int(c_text[2:]) if "^" in c_text else 1
+        opparse._check_p_exponent(exp, prime)
         center = PAdicScalar.uniformizer_power(prime, exp)
     else:
-        center = PAdicScalar(Fraction(c_text), prime)
+        try:
+            center = PAdicScalar(Fraction(c_text), prime)
+        except ZeroDivisionError:
+            raise ConfigError(f"zero denominator in the blow-up center {c_text!r}") from None
     m = int(match.group("m"))
     if m < 1:
         raise ConfigError(f"blow-up level must be at least 1, got m={m}")
@@ -243,8 +250,9 @@ def _thm28(args, cfg):
 
 
 def _charvar(args, cfg):
-    cc, report = charcycle._cycle_and_support(_diff_op(args.expr[0], cfg))
-    doc = {**cc.to_json(), "rmin": report.rmin}
+    P = _diff_op(args.expr[0], cfg)
+    cc = charcycle.char_cycle(P)
+    doc = {**cc.to_json(), "rmin": _decay_level(P)}
     if args.plot:
         doc["plot_path"] = _plot(args, cc)["plot_path"]
     return doc

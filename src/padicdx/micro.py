@@ -22,13 +22,12 @@ The only truncated computation in the module is inversion
 (:func:`micro_invert`): Newton's iteration T' = T + T(1 - S T) on the
 whole operator, from a one-monomial start u p^v d^-q, which squares the
 residual at every step.  Each product of a step is a short product:
-``leibniz_product`` with a floor (``_short`` as an operator) stops each
-derivative chain at its first term below the cutoff, skips the trailing
-entries whose products all fall below it, and rounds each row once to
-its cutoff.  The result keeps the monomials
-:meth:`MicroOp.truncate_below` would keep of the full product, at the
-same norms, over a denominator that is a power of p, and differs from it
-by less than the cutoff.  This is the capped-precision model of Caruso,
+``leibniz_product`` with a floor stops each derivative chain at its first
+term below the cutoff, skips the trailing entries whose products all fall
+below it, and rounds each row once to its cutoff.  The result keeps the
+monomials :meth:`MicroOp.truncate_below` would keep of the full product,
+at the same norms, over a denominator that is a power of p, and differs
+from it by less than the cutoff.  This is the capped-precision model of Caruso,
 Roe and Vaccon, "Tracking p-adic precision" (2014); exact coefficients
 would grow to hundreds of bits.  The cutoffs of all steps are fixed in
 advance from the exact residual of the start, so that one pass reaches
@@ -216,17 +215,6 @@ def micro_unit_verdict(S: MicroOp, k: int, r: int):
     return BadLocusOnly(q, normalized.reduce())
 
 
-def _short(left: MicroOp, right: MicroOp, k: int, r: int, cutoff: int) -> MicroOp:
-    """left * right truncated below the cutoff and rounded to it: the short
-    product ``leibniz_product`` computes with ``floor=(k, r, cutoff)``.  At
-    power n it has the monomials of norm at least p^c of the exact product,
-    c = cutoff - weight(n, k, r), at the same norms, over a power of p, and
-    differs from it by norm at most p^(c-1)."""
-    p, var = left.p, left.var
-    table = leibniz_product(left.coeffs, right.coeffs, p, var, (k, r, cutoff))
-    return MicroOp._of(table, p, var)
-
-
 def _one_plus(table: dict, p: int, var: str) -> MicroOp:
     """1 plus the operator of a {power: TatePoly} table, added in place to
     its power-0 row."""
@@ -253,8 +241,8 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     noncommutative ring, so each step doubles the precision (von zur
     Gathen and Gerhard, Modern Computer Algebra, 9.1).  Both products of a
     step are short products, cut and rounded in one pass
-    (``leibniz_product`` with a floor, as in ``_short``) so that each moves
-    its result by less than its cutoff.  The computed residual E is 1 plus
+    (``leibniz_product`` with a floor) so that each moves its result by
+    less than its cutoff.  The computed residual E is 1 plus
     the short product of -S, negated once, and T, so E = (1 - S T) + d1
     with d1 the error of that product; and T' = T + T E - d2 with d2 the
     error of the short T E.  Then
@@ -291,21 +279,21 @@ def micro_invert(S: MicroOp, k: int, r: int, eps) -> tuple[MicroOp, NormExp]:
     T = MicroOp.d_power(-q, p, var, Fraction(u * p**vd, p**va))
     minus_s = -S
 
-    def residual(T, floor=None):
-        return _one_plus(leibniz_product(minus_s.coeffs, T.coeffs, p, var, floor), p, var)
+    def product(left, right, floor=None):
+        return leibniz_product(left.coeffs, right.coeffs, p, var, floor)
 
-    E = residual(T)
+    E = _one_plus(product(minus_s, T), p, var)
     e = E._norm_exp(k, r)
     if e is not None and e >= eps_exp:
         cutoffs = [max(eps_exp, 2 * e + 1)]
         while cutoffs[-1] > eps_exp:
             cutoffs.append(max(eps_exp, 2 * cutoffs[-1] - 1))
         norm_s = max(0, S._norm_exp(k, r))
-        for i, c in enumerate(cutoffs):
-            if i:
-                E = residual(T, (k, r, c))
-            T = T + _short(T, E, k, r, c - norm_s)
-        E = residual(T)
+        # each residual is cut at the next step's cutoff; the last is exact
+        floors = [(k, r, c) for c in cutoffs[1:]] + [None]
+        for c, floor in zip(cutoffs, floors):
+            T = T + MicroOp._of(product(T, E, (k, r, c - norm_s)), p, var)
+            E = _one_plus(product(minus_s, T, floor), p, var)
     rho = E.norm(k, r)
     if not rho < NormExp(eps_exp):
         raise PrecisionNotReached(f"no inverse within p^{eps_exp}: residual {rho}")

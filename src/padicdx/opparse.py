@@ -24,6 +24,7 @@ below raises ``ConfigError`` before it is built.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +53,14 @@ MAX_EXPONENT = 10_000
 MAX_DEGREE = 10_000
 MAX_BITS = 20_000
 MAX_SHIFT = 10**8
+
+
+def _check_p_exponent(n: int, p: int):
+    """Raise ``ConfigError`` unless |n| is at most MAX_SHIFT at p = 2 and
+    MAX_BITS over the bit size of p otherwise."""
+    limit = MAX_SHIFT if p == 2 else MAX_BITS // p.bit_length()
+    if abs(n) > limit:
+        raise ConfigError(f"exponent {n} of p is over the limit {limit}")
 
 
 # syntax tree
@@ -110,10 +119,14 @@ _SYMBOLS = frozenset(VARIABLES + ("d", "p"))
 
 
 def _digits_end(src: str, i: int) -> int:
-    """The end of the run of ASCII digits that starts at i."""
-    n = len(src)
+    """The end of the run of ASCII digits that starts at i; a run longer
+    than Python's integer-string limit raises ``ParseError`` at i."""
+    start, n = i, len(src)
     while i < n and src[i] in _DIGITS:
         i += 1
+    limit = sys.get_int_max_str_digits()
+    if limit and i - start > limit:
+        raise ParseError(f"integer literal of more than {limit} digits", start)
     return i
 
 
@@ -345,9 +358,7 @@ class _Normalizer:
     def _power(self, base, n: int):
         p = self.p
         if base == _P:
-            limit = MAX_SHIFT if p == 2 else MAX_BITS // p.bit_length()
-            if abs(n) > limit:
-                raise ConfigError(f"exponent {n} of p is over the limit {limit}")
+            _check_p_exponent(n, p)
             return self._constant(Fraction(p) ** n)
         if abs(n) > MAX_EXPONENT:
             raise ConfigError(f"exponent {n} is over the limit {MAX_EXPONENT}")

@@ -19,7 +19,8 @@ Kronecker substitution, one product of two large ints, from
 The code :class:`ResiduePoly` shares with
 :class:`padicdx.tatepoly.TatePoly` lives here: the constructors and the
 variable rule in ``_DensePoly``, the printer in ``_format_poly``.
-Subtraction, powers and immutability come from ``padicdx.scalars._Ring``.
+Subtraction, powers and immutability come from ``padicdx.scalars._Ring``,
+and the operators of :class:`ResidueElem` from ``padicdx.scalars._Field``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import islice, zip_longest
 from operator import add
 
 from .errors import MixedPrimes, MixedVariables, ZeroInput
-from .scalars import _Ring, is_prime
+from .scalars import _Field, _Ring, is_prime
 
 _EDF_SEED = 0x5EED
 # the largest p at which equal-degree splitting finds linear factors by
@@ -42,7 +43,7 @@ _SCAN_MAX = 500
 
 
 @dataclass(frozen=True)
-class ResidueElem:
+class ResidueElem(_Field):
     """An element of the prime residue field, stored as an int in [0, p)."""
 
     value: int
@@ -53,7 +54,7 @@ class ResidueElem:
             raise ValueError(f"{self.p} is not a prime")
         object.__setattr__(self, "value", self.value % self.p)
 
-    def _check(self, other):
+    def _coerce(self, other):
         if isinstance(other, ResidueElem):
             if other.p != self.p:
                 raise MixedPrimes("mixed primes")
@@ -62,44 +63,13 @@ class ResidueElem:
             return other
         return None
 
-    def __add__(self, other):
-        v = self._check(other)
-        if v is None:
-            return NotImplemented
-        return ResidueElem(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._check(other)
-        if v is None:
-            return NotImplemented
-        return ResidueElem(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._check(other)
-        if v is None:
-            return NotImplemented
-        return ResidueElem(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._check(other)
-        if v is None:
-            return NotImplemented
-        return ResidueElem(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ResidueElem(-self.value, self.p)
-
     def inverse(self) -> "ResidueElem":
         if self.value == 0:
             raise ZeroDivisionError("residue zero has no inverse")
         return ResidueElem(pow(self.value, -1, self.p), self.p)
 
     def __truediv__(self, other):
-        v = self._check(other)
+        v = self._coerce(other)
         if v is None:
             return NotImplemented
         return self * ResidueElem(v, self.p).inverse()

@@ -186,7 +186,46 @@ def _fraction_valuation(n: int, p: int) -> int:
     return v
 
 
-class PAdicScalar(_Immutable):
+class _Field:
+    """The ring operators the two field-element classes share, on a value
+    and a prime ``p``.  A subclass provides ``_coerce`` (the value of an
+    operand, or None) and the constructor ``cls(value, p)``."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        return type(self)(self.value + v, self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        return type(self)(self.value - v, self.p)
+
+    def __rsub__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        return type(self)(v - self.value, self.p)
+
+    def __mul__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        return type(self)(self.value * v, self.p)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(-self.value, self.p)
+
+
+class PAdicScalar(_Field, _Immutable):
     """An exact element of the p-adic ground field.
 
     Stored as a reduced :class:`fractions.Fraction` together with the
@@ -262,34 +301,6 @@ class PAdicScalar(_Immutable):
             return Fraction(other)
         return None
 
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PAdicScalar(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PAdicScalar(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PAdicScalar(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PAdicScalar(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         v = self._coerce(other)
         if v is None:
@@ -301,9 +312,6 @@ class PAdicScalar(_Immutable):
         if v is None:
             return NotImplemented
         return PAdicScalar(v / self.value, self.p)
-
-    def __neg__(self):
-        return PAdicScalar(-self.value, self.p)
 
     def __pow__(self, exp: int):
         return PAdicScalar(self.value**exp, self.p)

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import random
 
@@ -18,6 +19,7 @@ from padicdx import (
     infinite_support,
     render_cc,
 )
+from padicdx.cli import main
 from helpers import rand_diffop
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -92,16 +94,18 @@ def test_char_cycle_order_zero_non_unit():
     assert not cc.is_zero()
 
 
-def test_cycle_and_support_agree_with_each_entry_point():
-    # the combined call, charvar's, gives what the two public calls give,
-    # disc units included, and raises char_cycle's errors
-    from padicdx.charcycle import _cycle_and_support
-
+def test_cycle_and_support_agree_with_each_entry_point(capsys):
+    # disc units take char_cycle's general path to the zero cycle, the
+    # charvar document's rmin is the support's, and char_cycle's errors
+    # are unchanged
     rng = random.Random(29)
     p = 3
     units = [DiffOp.one(p), DiffOp.from_poly(TatePoly([2, 3, 9], p).scale(w(p, -2)))]
+    for P in units:
+        assert char_cycle(P) == CharCycle(0, ())
     for P in units + [rand_diffop(rng, p, nonzero=True) for _ in range(20)]:
-        assert _cycle_and_support(P) == (char_cycle(P), infinite_support(P))
+        assert main(["charvar", "-p", str(p), str(P)]) == 0
+        assert json.loads(capsys.readouterr().out)["rmin"] == infinite_support(P).rmin
     with pytest.raises(ZeroOperator, match="^the module presented by zero"):
         char_cycle(DiffOp.zero(p))
     with pytest.raises(TruncatedOperand, match="^cycle undecidable"):

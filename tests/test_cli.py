@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 import time
 
 import jsonschema
@@ -314,10 +315,15 @@ def test_kernel_value_errors_give_documents(capsys, argv, error):
 
 
 def test_precision_not_reached_exit_code(capsys, monkeypatch):
-    from padicdx import MicroOp, micro
+    from padicdx import micro
 
     # Newton steps that add nothing: the start 1 is wrong by p*x
-    monkeypatch.setattr(micro, "_short", lambda left, *_: MicroOp.zero(left.p, left.var))
+    exact = micro.leibniz_product
+
+    def no_step(left, right, p, var, floor=None):
+        return {} if floor else exact(left, right, p, var)
+
+    monkeypatch.setattr(micro, "leibniz_product", no_step)
     code, doc = run(capsys, "micro-invert", "-p", "2", "--eps", "-4", "1 + p*x")
     assert code == 2
     assert doc["error"]["type"] == "PrecisionNotReached"
@@ -388,3 +394,46 @@ def test_precision_limit_is_a_config_error_before_any_work(capsys):
     assert doc["eps_exp"] == -2000 and doc["residual_exp"] < -2000
     with pytest.raises(ConfigError):
         SessionConfig(2, 2, 1, -2001)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer-string limit")
+def test_literals_over_the_int_string_limit_are_usage_errors(capsys):
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    message = f"integer literal of more than {limit} digits"
+    for expr, at in ((long, 0), ("1/" + long, 2), ("x^" + long, 2)):
+        code, doc = run(capsys, "norm", "-p", "2", expr)
+        assert code == 1
+        assert doc["error"] == {
+            "type": "ParseError",
+            "message": f"{message} (at position {at})",
+            "position": at,
+        }
+    for spec in (f"c={long},m=1", f"c=0,m={long}", f"c=p^{long},m=1"):
+        code, doc = run(capsys, "blowup-support", "-p", "2", "--blowup", spec, "x*d")
+        assert code == 1
+        assert doc["error"] == {
+            "type": "ConfigError",
+            "message": f"blow-up spec has an integer of more than {limit} digits",
+        }
+    # a literal at the limit is read
+    code, doc = run(capsys, "norm", "-p", "2", "1" * limit)
+    assert code == 0 and doc["norm_exp"] == 0
+
+
+def test_blowup_center_is_bounded_like_a_power_of_p(capsys):
+    code, doc = run(capsys, "blowup-support", "-p", "3", "--blowup", "c=1/0,m=1", "x*d")
+    assert code == 1
+    assert doc["error"] == {
+        "type": "ConfigError",
+        "message": "zero denominator in the blow-up center '1/0'",
+    }
+    for p, exp in ((3, 1_000_000), (3, 10_001), (2, -(10**8) - 1)):
+        start = time.perf_counter()
+        code, doc = run(capsys, "charvar", "-p", str(p), "--blowup", f"c=p^{exp},m=1", "x*d")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        # the rule the expression language applies to p^n
+        assert run(capsys, "norm", "-p", str(p), f"p^{exp}*d")[1] == doc
+    code, doc = run(capsys, "charvar", "-p", "3", "--blowup", "c=p^10000,m=1", "x*d")
+    assert code == 0

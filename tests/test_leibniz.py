@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicdx import DiffOp, MicroOp, NormExp, TatePoly
-from padicdx.micro import _short
 from padicdx.weyl import _gbinom, leibniz_product, weight
 from helpers import (
     falling_binom,
@@ -112,44 +111,16 @@ def test_short_product_against_truncated_oracle(p, levels, data):
     # monomials of the truncated exact product at the same valuations,
     # within the cutoff, and each row it returns is canonical over a power
     # of p and is the balanced rounding of the exact row, computed on
-    # Fractions alone; micro._short is that kernel as an operator
+    # Fractions alone
     k, r = levels
     A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
     assert MicroOp(leibniz_product(A.coeffs, B.coeffs, p, "x"), p) == full
     short = leibniz_product(A.coeffs, B.coeffs, p, "x", floor=(k, r, cutoff))
-    assert _short(A, B, k, r, cutoff) == MicroOp._of(short, p, "x")
     want = full.truncate_below(k, r, cutoff).coeffs
     _assert_within_cutoff(MicroOp(short, p).coeffs, want, k, r, cutoff)
     assert all(_canonical_over_a_power_of_p(c, p) for c in short.values())
     rounded = frac_round_short(frac_op(full.coeffs), p, k, r, cutoff)
     assert {n: row for n, row in frac_op(short).items() if row} == rounded
-
-
-@settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from(PRIMES), levels=st.sampled_from(LEVELS), data=st.data())
-def test_rounded_short_product_against_truncated_oracle(p, levels, data):
-    # micro._short, the floored kernel as an operator, rounds each kept
-    # coefficient to its cutoff: at every power it stays within the cutoff
-    # of the truncated exact product, with the same monomials at the same
-    # valuations
-    k, r = levels
-    A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
-    got = _short(A, B, k, r, cutoff).coeffs
-    _assert_within_cutoff(got, full.truncate_below(k, r, cutoff).coeffs, k, r, cutoff)
-    assert all(_canonical_over_a_power_of_p(c, p) for c in got.values())
-
-
-@settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from(PRIMES), levels=st.sampled_from(LEVELS), data=st.data())
-def test_rounded_short_product_is_the_rounded_exact_product(p, levels, data):
-    # what the kernel skips is below the cutoff, so its rounding cannot
-    # see it: micro._short is the balanced rounding of the exact truncated
-    # product, computed on Fractions alone
-    k, r = levels
-    A, B, _, cutoff = _operands_and_cutoff(p, k, r, data)
-    exact = frac_op_mul(frac_op(A.coeffs), frac_op(B.coeffs))
-    want = frac_round_short(exact, p, k, r, cutoff)
-    assert frac_op(_short(A, B, k, r, cutoff).coeffs) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,7 +131,8 @@ def test_gauss_exponent_is_the_largest_coefficient_norm(p, levels, data):
     # products and on the rounded rows of the floored kernel
     k, r = levels
     A, B, full, cutoff = _operands_and_cutoff(p, k, r, data)
-    for op in (A, B, full, _short(A, B, k, r, cutoff)):
+    short = MicroOp._of(leibniz_product(A.coeffs, B.coeffs, p, "x", (k, r, cutoff)), p, "x")
+    for op in (A, B, full, short):
         for c in op.coeffs.values():
             assert c._gauss_exp() == frac_gauss_exp([Fraction(a, c.den) for a in c.num], p)
 

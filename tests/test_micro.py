@@ -390,10 +390,12 @@ def test_inversion_attempts_are_bounded(monkeypatch):
 
     # Newton steps that add nothing: T stays the start 1, and S*T - 1 keeps
     # norm 2^-1
-    def no_step(left, right, k, r, cutoff):
-        return MicroOp.zero(left.p, left.var)
+    exact = micro.leibniz_product
 
-    monkeypatch.setattr(micro, "_short", no_step)
+    def no_step(left, right, p, var, floor=None):
+        return {} if floor else exact(left, right, p, var)
+
+    monkeypatch.setattr(micro, "leibniz_product", no_step)
     start = time.perf_counter()
     with pytest.raises(PrecisionNotReached, match=r"^no inverse within p\^-4: residual p\^-1$"):
         micro_invert(S, 2, 1, -4)

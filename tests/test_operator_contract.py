@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicdx import DiffOp, MicroOp, MixedPrimes, PAdicScalar, TatePoly, TruncatedOperand
-from padicdx.micro import _short
+from padicdx.weyl import leibniz_product
 from helpers import join_operator_str
 
 p = 2
@@ -213,6 +213,7 @@ def test_kernel_results_match_the_checking_constructor(p, data):
     r = data.draw(st.integers(1, 3), label="r")
     k = data.draw(st.integers(r, 3), label="k")
     cutoff = data.draw(st.integers(-4, 4), label="cutoff")
+    short = leibniz_product(M.coeffs, N.coeffs, p, M.var, (k, r, cutoff))
     results = [
         (A + B, DiffOp, True), (A - B, DiffOp, True), (A * B, DiffOp, True),
         (-A, DiffOp, True), (A.scale(s), DiffOp, True),
@@ -221,7 +222,7 @@ def test_kernel_results_match_the_checking_constructor(p, data):
         (-M, MicroOp, True), (M.scale(s), MicroOp, True),
         (A + M, MicroOp, True), (M - A, MicroOp, True), (A * M, MicroOp, True),
         (M.truncate_below(k, r, cutoff), MicroOp, True),
-        (_short(M, N, k, r, cutoff), MicroOp, True),
+        (MicroOp._of(short, p, M.var), MicroOp, True),
         (MicroOp.from_diffop(A), MicroOp, True),
         (MicroOp.from_diffop(A).to_diffop(), DiffOp, True),
     ]
