@@ -34,12 +34,6 @@ class SupportReport:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.points)
 
-    def to_json(self) -> dict:
-        return {
-            "rmin": self.rmin,
-            "points": [_point_json(pt, m) for pt, m in self.points],
-        }
-
 
 @dataclass(frozen=True)
 class CharCycle:
@@ -80,11 +74,7 @@ def infinite_support(P: DiffOp) -> SupportReport:
     """Support points of the cyclic module: zeros of the reduced
     normalized dominant coefficient, with multiplicities."""
     P._require_finite("support undecidable for a truncated operator", "zero operator")
-    lead = P.leading_coefficient()
-    normalized, _ = lead.normalize()
-    reduced = normalized.reduce()
-    points = [] if reduced.is_constant() else factor_reduction(reduced)
-    return SupportReport(_decay_level(P), _sorted_points(points))
+    return SupportReport(_decay_level(P), char_cycle(P).vertical)
 
 
 def char_cycle(P: DiffOp) -> CharCycle:
@@ -93,7 +83,10 @@ def char_cycle(P: DiffOp) -> CharCycle:
         "cycle undecidable for a truncated operator",
         "the module presented by zero is not cyclic-finite",
     )
-    return CharCycle(P.degree(), infinite_support(P).points)
+    reduced = P.leading_coefficient().normalize()[0].reduce()
+    # factors come by (degree, coefficients) under one chart tag: sort_key order
+    points = () if reduced.is_constant() else tuple(factor_reduction(reduced))
+    return CharCycle(P.degree(), points)
 
 
 def cc_add(c1: CharCycle, c2: CharCycle) -> CharCycle:

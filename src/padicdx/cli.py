@@ -29,6 +29,7 @@ from .blowup import (  # noqa: F401
     BlowupModel,
     _fiber_report,
     fiber_sum_check,
+    pull_function_u1,
     pull_operator_u1,
     support_on_blowup,
 )
@@ -42,7 +43,8 @@ from .errors import (
 from .micro import _decay_level, finite_order_verdict, micro_invert, micro_unit_verdict
 from .residue import ResiduePoly
 from .scalars import NormExp, PAdicScalar, is_prime
-from .weyl import ConnectionMatrix, commutator, connection_level
+from .tatepoly import TatePoly
+from .weyl import ConnectionMatrix, DiffOp, commutator, connection_level
 
 ENV_PRIME = "PADICDX_DEFAULT_PRIME"
 PRIME_LIMIT = 2**64  # is_prime is exact far beyond this
@@ -104,6 +106,7 @@ def parse_blowup_spec(text: str, prime: int) -> BlowupModel:
     m = int(match.group("m"))
     if m < 1:
         raise ConfigError(f"blow-up level must be at least 1, got m={m}")
+    opparse._check_p_exponent(m, prime)  # the inner chart builds p^m
     return BlowupModel(center, m)
 
 
@@ -151,10 +154,20 @@ def _session(args) -> SessionConfig:
     return dataclasses.replace(cfg, blowup=parse_blowup_spec(args.blowup, prime))
 
 
-def _require_blowup(cfg: SessionConfig) -> BlowupModel:
+def _blowup_operand(args, cfg: SessionConfig) -> tuple[BlowupModel, DiffOp]:
+    """The blow-up and the operator of a blow-up subcommand.  The inner
+    chart pulls the leading coefficient back through x = c + p^m*t, a
+    power of the pullback of x by the degree of the coefficient (at least
+    one: the pullback itself is built), so the rule of the expression
+    language for powers bounds it before any work."""
     if cfg.blowup is None:
         raise ConfigError("this subcommand needs --blowup c=<scalar>,m=<int>")
-    return cfg.blowup
+    B, P = cfg.blowup, _diff_op(args.expr[0], cfg)
+    if not P.is_zero():
+        b = pull_function_u1(TatePoly.variable(B.p), B)
+        n = max(1, P.leading_coefficient().degree())
+        opparse._check_power([b], n, "the chart substitution c + p^m*t")
+    return B, P
 
 
 def _diff_op(text: str, cfg: SessionConfig):
@@ -259,8 +272,8 @@ def _charvar(args, cfg):
 
 
 def _blowup_support(args, cfg):
-    B = _require_blowup(cfg)
-    points = support_on_blowup(_diff_op(args.expr[0], cfg), B)
+    B, P = _blowup_operand(args, cfg)
+    points = support_on_blowup(P, B)
     return {
         "blowup": {"c": str(B.center), "m": B.m},
         "points": [cp.to_json(mult) for cp, mult in points],
@@ -268,8 +281,8 @@ def _blowup_support(args, cfg):
 
 
 def _fiber_check(args, cfg):
-    B = _require_blowup(cfg)
-    ok, base, above, m0_preserved = _fiber_report(_diff_op(args.expr[0], cfg), B)
+    B, P = _blowup_operand(args, cfg)
+    ok, base, above, m0_preserved = _fiber_report(P, B)
     return {
         "blowup": {"c": str(B.center), "m": B.m},
         "ok": ok,

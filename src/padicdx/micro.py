@@ -47,7 +47,7 @@ from .errors import (
     ZeroOperator,
 )
 from .residue import ResiduePoly
-from .scalars import NormExp, PAdicScalar
+from .scalars import NormExp, PAdicScalar, _decimal
 from .scalars import _fraction_valuation as _val
 from .tatepoly import TatePoly, _as_exp, _canon
 from .weyl import DiffOp, _Operator, leibniz_product, weight
@@ -106,7 +106,7 @@ class MicroOp(_Operator):
         _check_levels(k, r)
         out = []
         for n in sorted(self.coeffs):
-            vector = [str(Fraction(a, self.coeffs[n].den)) for a in self.coeffs[n].num]
+            vector = [_decimal(Fraction(a, self.coeffs[n].den)) for a in self.coeffs[n].num]
             out.append([n, vector, -weight(n, k, r)])
         return out
 
@@ -122,58 +122,54 @@ class MicroOp(_Operator):
 # invertibility verdicts
 
 
+class _Verdict:
+    """A verdict dataclass; its ``tag`` is its class name."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.tag = cls.__name__
+
+
 @dataclass(frozen=True)
-class InvertibleOnDisc:
+class InvertibleOnDisc(_Verdict):
     """Unit in the (k, r) Laurent ring over the whole disc."""
 
     q: int
 
-    tag = "InvertibleOnDisc"
-
 
 @dataclass(frozen=True)
-class BadLocusOnly:
+class BadLocusOnly(_Verdict):
     """Unit away from the zeros of the dominant coefficient reduction."""
 
     q: int
     bad: ResiduePoly
 
-    tag = "BadLocusOnly"
-
 
 @dataclass(frozen=True)
-class NotInvertible:
+class NotInvertible(_Verdict):
     """No dominant coefficient, or the tail fails to contract."""
 
     reason: str
 
-    tag = "NotInvertible"
-
 
 @dataclass(frozen=True)
-class EverywhereInvertible:
+class EverywhereInvertible(_Verdict):
     """Finite operator invertible microlocally over the whole disc."""
 
-    tag = "EverywhereInvertible"
-
 
 @dataclass(frozen=True)
-class BadLocus:
+class BadLocus(_Verdict):
     """Invertible away from the zeros of the reduced dominant coefficient."""
 
     bad: ResiduePoly
 
-    tag = "BadLocus"
-
 
 @dataclass(frozen=True)
-class FailsDecay:
+class FailsDecay(_Verdict):
     """Lower coefficients too large at this level; rmin is the least
     level at which the decay condition holds."""
 
     rmin: int
-
-    tag = "FailsDecay"
 
 
 def micro_unit_verdict(S: MicroOp, k: int, r: int):
@@ -198,12 +194,10 @@ def micro_unit_verdict(S: MicroOp, k: int, r: int):
     if len(candidates) != 1:
         return NotInvertible("no unique coefficient of maximal norm")
     q = candidates[0]
+    # q is the unique index of maximal exponent, so only n < 0 can fail
     for idx, e in sorted(exps.items()):
         n = idx - q
-        if n == 0:
-            continue
-        bound = top if n > 0 else top + n * (k - r)
-        if not e < bound:
+        if n < 0 and not e < top + n * (k - r):
             return NotInvertible(
                 f"tail coefficient at offset {n} does not contract at levels ({k}, {r})"
             )

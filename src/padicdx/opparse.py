@@ -63,6 +63,20 @@ def _check_p_exponent(n: int, p: int):
         raise ConfigError(f"exponent {n} of p is over the limit {limit}")
 
 
+def _check_power(coeffs, n: int, base: str = "a base"):
+    """Raise ``ConfigError`` unless the power n of a base with these
+    TatePoly coefficients is within MAX_DEGREE and MAX_BITS."""
+    degree = max((c.degree() for c in coeffs), default=0)
+    bits = max(
+        (max(map(abs, c.num)).bit_length() + c.den.bit_length() for c in coeffs if c.num),
+        default=0,
+    )
+    if degree * n > MAX_DEGREE or bits * n > MAX_BITS:
+        raise ConfigError(
+            f"power {n} of {base} of degree {degree} and {bits} bits is over the limits"
+        )
+
+
 # syntax tree
 
 
@@ -379,16 +393,7 @@ class _Normalizer:
                 raise ValueError(f"{p} is not a prime")
             return _make((0,) * n + (1,), 1, p, base.name)
         value = self.eval(base)
-        coeffs = [value] if isinstance(value, TatePoly) else value.coeffs.values()
-        degree = max((c.degree() for c in coeffs), default=0)
-        bits = max(
-            (max(map(abs, c.num)).bit_length() + c.den.bit_length() for c in coeffs if c.num),
-            default=0,
-        )
-        if degree * n > MAX_DEGREE or bits * n > MAX_BITS:
-            raise ConfigError(
-                f"power {n} of a base of degree {degree} and {bits} bits is over the limits"
-            )
+        _check_power([value] if isinstance(value, TatePoly) else value.coeffs.values(), n)
         return value**n
 
 

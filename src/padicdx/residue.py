@@ -34,7 +34,7 @@ from itertools import islice, zip_longest
 from operator import add
 
 from .errors import MixedPrimes, MixedVariables, ZeroInput
-from .scalars import _Field, _Ring, is_prime
+from .scalars import _Field, _Ring, _decimal, is_prime
 
 _EDF_SEED = 0x5EED
 # the largest p at which equal-degree splitting finds linear factors by
@@ -347,12 +347,12 @@ def _format_poly(num, den: int, var: str) -> str:
         a = num[i]
         if not a:
             continue
-        mag = Fraction(abs(a), den)
+        mag = _decimal(Fraction(abs(a), den))
         if i == 0:
-            body = str(mag)
+            body = mag
         else:
             v = var if i == 1 else f"{var}^{i}"
-            body = v if mag == 1 else f"{mag}*{v}"
+            body = v if mag == "1" else f"{mag}*{v}"
         pairs.append((a < 0, body))
     return _format_terms(pairs)
 

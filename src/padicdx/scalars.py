@@ -14,10 +14,11 @@ exponents as plain ints (``TatePoly._gauss_exp``) and builds a
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-from .errors import MixedPrimes, NegativeValuation
+from .errors import ConfigError, MixedPrimes, NegativeValuation
 
 INFINITY = math.inf  # valuation of zero
 
@@ -172,6 +173,16 @@ class _Ring(_Immutable):
             if exp & 1:
                 out = out * base
         return out
+
+
+def _decimal(value) -> str:
+    """The decimal text of an int or a Fraction; ``ConfigError`` when it
+    holds an integer past Python's limit on int-to-string conversion."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ConfigError(f"the result has an integer of more than {limit} digits") from None
 
 
 def _fraction_valuation(n: int, p: int) -> int:
@@ -330,4 +341,4 @@ class PAdicScalar(_Field, _Immutable):
         return f"PAdicScalar({self.value!r}, p={self.p})"
 
     def __str__(self):
-        return str(self.value)
+        return _decimal(self.value)

@@ -83,12 +83,12 @@ def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> di
     Each row a/den is then rounded once (the capped precision of Caruso,
     Roe and Vaccon, "Tracking p-adic precision", 2014): with v = v_p(den)
     and keep = v - c, a becomes A/p^v for the balanced residue A of
-    a*(den/p^v)^-1 modulo p^(keep+1), and a row with keep < 0 is dropped.
-    So each coefficient moves by norm at most p^(c-1), v_p(A) = v_p(a) up
-    to keep and A = 0 beyond: the same monomials at the same norms.  The
-    rounding depends only on the coefficient modulo p^(1-c), which nothing
-    skipped changes, so each row is the rounding of the exact row whatever
-    den is; ``_canon`` makes its form unique."""
+    a*(den/p^v)^-1 modulo p^(keep+1).  So each coefficient moves by norm
+    at most p^(c-1), v_p(A) = v_p(a) up to keep and A = 0 beyond: the same
+    monomials at the same norms.  The rounding depends only on the
+    coefficient modulo p^(1-c), which nothing skipped changes, so each row
+    is the rounding of the exact row whatever den is; ``_canon`` makes its
+    form unique."""
     lden = math.lcm(*(b.den for b in left.values()))
     rden = math.lcm(*(c.den for c in right.values()))
     short = floor is not None
@@ -138,11 +138,11 @@ def leibniz_product(left: dict, right: dict, p: int, var: str, floor=None) -> di
     pv = p**v
     table = {}
     for key, row in out.items():
-        keep = v - cutoff + weight(key, k, r)
-        if keep >= 0:
-            mod = p ** (keep + 1)
-            inv, lo = pow(den // pv, -1, mod), (mod - 1) // 2
-            table[key] = _canon([(a * inv + lo) % mod - lo for a in row], pv, p, var)
+        # keep = v - c >= 0: some term of the row met the stop rule, and
+        # bexp + cexp <= v, as a Gauss exponent is at most v_p of its den
+        mod = p ** (v - cutoff + weight(key, k, r) + 1)
+        inv, lo = pow(den // pv, -1, mod), (mod - 1) // 2
+        table[key] = _canon([(a * inv + lo) % mod - lo for a in row], pv, p, var)
     return table
 
 

@@ -437,3 +437,61 @@ def test_blowup_center_is_bounded_like_a_power_of_p(capsys):
         assert run(capsys, "norm", "-p", str(p), f"p^{exp}*d")[1] == doc
     code, doc = run(capsys, "charvar", "-p", "3", "--blowup", "c=p^10000,m=1", "x*d")
     assert code == 0
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer-string limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["commutator", "-p", "3", "p^10000*d", "x"],
+        ["micro-check", "-p", "3", "-k", "1", "-r", "1", "p^10000*d + 1"],
+        ["micro-invert", "-p", "3", "-k", "1", "-r", "1", "--eps", "-2", "p^-9100*d + 1"],
+        ["blowup-support", "-p", "3", "--blowup", "c=p^9100,m=1", "x*d"],
+    ],
+)
+def test_results_over_the_int_string_limit_are_usage_errors(capsys, argv):
+    code, doc = run(capsys, *argv)
+    assert code == 1
+    limit = sys.get_int_max_str_digits()
+    assert doc == {
+        "error": {
+            "type": "ConfigError",
+            "message": f"the result has an integer of more than {limit} digits",
+        }
+    }
+
+
+@pytest.mark.parametrize(
+    "p, spec, op, message",
+    [
+        ("3", "c=0,m=1000000", "(x^3 - 9*x)*d^2 + 3*x*d + 1",
+         "exponent 1000000 of p is over the limit 10000"),
+        ("2", "c=0,m=10000000", "(x^3 - 9*x)*d^2 + 3*x*d + 1",
+         "power 3 of the chart substitution c + p^m*t of degree 1 and 10000002 bits"
+         " is over the limits"),
+        ("3", "c=p^10000,m=1", "(x^30 + x)*d + 1",
+         "power 30 of the chart substitution c + p^m*t of degree 1 and 15851 bits"
+         " is over the limits"),
+        # a constant leading coefficient still builds the substitution once
+        ("2", "c=0,m=20001", "d + x",
+         "power 1 of the chart substitution c + p^m*t of degree 1 and 20003 bits"
+         " is over the limits"),
+    ],
+)
+def test_blowup_pullback_is_bounded_like_a_power(capsys, p, spec, op, message):
+    for command in ("blowup-support", "fiber-check"):
+        start = time.perf_counter()
+        code, doc = run(capsys, command, "-p", p, "--blowup", spec, op)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert doc == {"error": {"type": "ConfigError", "message": message}}
+
+
+def test_blowup_pullback_inside_the_rule_is_answered(capsys):
+    # 21 bits of c + p^m*t at p = 3, c = p^12, m = 1, to the power 8
+    code, doc = run(capsys, "fiber-check", "-p", "3", "--blowup", "c=p^12,m=1", "(x^8 + x)*d + 1")
+    assert code == 0 and doc["ok"] is True
+    # the zero operator is refused by the kernel, after the bound
+    code, doc = run(capsys, "fiber-check", "-p", "3", "--blowup", "c=0,m=1", "x - x")
+    assert code == 2
+    assert doc["error"] == {"type": "ZeroOperator", "message": "zero operator"}
