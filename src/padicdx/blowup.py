@@ -27,11 +27,9 @@ inner chart.  The recipe above never produces such a duplicate, because
 strict-transform points are only emitted away from the center or at the
 crossing point, so the dedup rule holds by construction.
 
-The strict-transform points are the base points off the center by
-construction, so the multiplicity check weighs the center alone, by
-degrees: the order at the reduced center of the reduced dominant
-coefficient must equal the degree of the reduced inner pullback (roots
-with v(x - c) >= m) plus the crossing multiplicity (0 < v < m).
+Over the center the multiplicities above sum to the one below for every
+operator, an identity of one Newton polygon stated and proved at
+:func:`fiber_sum_check`, so nothing is computed to check it.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .charcycle import _point_json, infinite_support
+from .charcycle import _point_json, char_cycle, infinite_support
 from .errors import LevelTooSmall, NegativeValuation, ZeroOperator
 from .residue import ClosedPoint, ResiduePoly
 from .scalars import NormExp, PAdicScalar
@@ -145,74 +143,59 @@ def support_on_blowup(
 ) -> list[tuple[ChartPoint, int]]:
     """Support points of the cyclic module on the blow-up, per chart."""
     P._require_finite("support undecidable for a truncated operator", "zero operator")
-    base, inner, crossing, _, _ = _transport(P, B)
-    return _chart_points(B, base.factor(), inner, crossing)
+    return _chart_points(P, B, char_cycle(P).vertical)
 
 
-def _transport(P: DiffOp, B: BlowupModel) -> tuple:
-    """The reduced normalized leading coefficient of P, its pullback to
-    the inner chart reduced and normalized alike, the crossing
-    multiplicity, whether transport keeps the degree in the derivation,
-    and fiber_sum_check's verdict; the zero operator is refused first.
-
-    ``pull_operator_u1(P, B, B.m)`` scales each pulled coefficient by a
-    power of pi, which keeps nonzero polynomials nonzero, so it keeps the
-    degree of P exactly when the pulled leading coefficient is nonzero."""
-    if P.is_zero():
-        raise ZeroOperator("zero operator")
-    P._require_finite("support undecidable for a truncated operator")
+def _chart_points(P: DiffOp, B: BlowupModel, base_points) -> list:
+    """support_on_blowup, given the base support points with their
+    multiplicities; the leading coefficient is pulled and recentered once."""
     lead = P.leading_coefficient()
-    base = lead.normalize()[0].reduce()
-    pulled = pull_function_u1(lead, B)
-    inner = pulled.normalize()[0].reduce()
-    recentered = lead.compose_linear(B.center, PAdicScalar.one(P.p), lead.var)
-    crossing = recentered.root_count_in_valuation_range(Fraction(0), Fraction(B.m))
-    at_center = base.translate(B.center.reduce_mod_pi().value).coeffs
-    base_mult = next(i for i, a in enumerate(at_center) if a)
-    m0_preserved = not pulled.is_zero()
-    ok = m0_preserved and base_mult == inner.degree() + crossing
-    return base, inner, crossing, m0_preserved, ok
-
-
-def _chart_points(B: BlowupModel, base_factors, inner: ResiduePoly, crossing: int) -> list:
-    """support_on_blowup, given the factors of the base reduction, the
-    reduced normalized inner-chart pullback and the crossing multiplicity."""
+    inner = pull_function_u1(lead, B).normalize()[0].reduce()
     out = [
         (ChartPoint(Chart.U1, ClosedPoint._factor_of(q, Chart.U1.value)), mult)
         for q, mult in inner.factor()
     ]
     # strict transform: the base points but the one at the center, shifted
     center_red = B.center.reduce_mod_pi().value
-    for q, mult in base_factors:
-        shifted = q.translate(center_red).with_var(U2_VAR)
+    for pt, mult in base_points:
+        shifted = pt.minimal_poly.translate(center_red).with_var(U2_VAR)
         if shifted.coeffs != (0, 1):
             point = ClosedPoint._factor_of(shifted, Chart.U2.value)
             out.append((ChartPoint(Chart.U2, point), mult))
+    recentered = lead.compose_linear(B.center, PAdicScalar.one(P.p), lead.var)
+    crossing = recentered.root_count_in_valuation_range(Fraction(0), Fraction(B.m))
     if crossing > 0:
-        origin = ClosedPoint(ResiduePoly.variable(B.p, U2_VAR), Chart.CROSSING.value)
+        origin = ClosedPoint._factor_of(ResiduePoly.variable(B.p, U2_VAR), Chart.CROSSING.value)
         out.append((ChartPoint(Chart.CROSSING, origin), crossing))
     return sorted(out, key=lambda pm: pm[0].sort_key())
 
 
 def fiber_sum_check(P: DiffOp, B: BlowupModel) -> bool:
-    """Multiplicity bookkeeping across the blow-up.
+    """Multiplicity bookkeeping across the blow-up: whether the blow-up
+    support points above each base point, weighted by residue degree, sum
+    to its multiplicity, and transport keeps the degree in the derivation.
 
-    True when, over every base support point, the multiplicities of the
-    blow-up support points above it, each weighted by its residue degree,
-    sum to the base multiplicity, and the degree in the derivation is
-    preserved by transport.  Off the center the strict-transform points
-    are the base points, shifted, so only the center is weighed, by
-    degrees and with nothing factored: the order of the reduced leading
-    coefficient at the reduced center against the degree of its reduced
-    inner-chart pullback plus the crossing multiplicity.
+    Both hold for every finite nonzero operator, so this refuses the zero
+    and the truncated operator and then returns True, computing nothing.
+    Off the center the strict-transform points are the base points,
+    shifted.  Over it, count the roots of h(u) = g(c + u), g the leading
+    coefficient, by valuation lambda, a zero root at infinity.  A
+    translate by an integral c keeps the Gauss norm, so the order at the
+    reduced center of the reduced normalized g, the least i minimizing
+    v(h_i), is #{lambda > 0}.  The inner pullback h(pi^m t) has
+    coefficients h_i pi^(mi), so the degree of its reduced normalized
+    form, the largest i minimizing v(h_i) + m i, is #{lambda >= m}, and
+    the crossing multiplicity is the difference, #{0 < lambda < m}.
+    Transport substitutes x = c + pi^m t, which keeps a nonzero
+    coefficient nonzero, and scales by powers of pi: it keeps the degree.
     """
-    return _transport(P, B)[4]
+    if P.is_zero():
+        raise ZeroOperator("zero operator")
+    P._require_finite("support undecidable for a truncated operator")
+    return True
 
 
 def _fiber_report(P: DiffOp, B: BlowupModel) -> tuple:
-    """fiber_sum_check's verdict, the base and blow-up supports and whether
-    transport keeps the degree in the derivation, factoring once per chart."""
-    _, inner, crossing, m0_preserved, ok = _transport(P, B)
+    """The base and blow-up supports, factoring once per chart."""
     base = infinite_support(P)
-    above = _chart_points(B, [(pt.minimal_poly, m) for pt, m in base.points], inner, crossing)
-    return ok, base, above, m0_preserved
+    return base, _chart_points(P, B, base.points)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import charcycle, opparse
-# unused here, fiber_sum_check and pull_operator_u1 stay for perfbench's span wrappers
+# unused here, pull_operator_u1 stays for perfbench's span wrappers
 from .blowup import (  # noqa: F401
     BlowupModel,
     _fiber_report,
@@ -282,13 +282,13 @@ def _blowup_support(args, cfg):
 
 def _fiber_check(args, cfg):
     B, P = _blowup_operand(args, cfg)
-    ok, base, above, m0_preserved = _fiber_report(P, B)
+    base, above = _fiber_report(P, B)
     return {
         "blowup": {"c": str(B.center), "m": B.m},
-        "ok": ok,
+        "ok": fiber_sum_check(P, B),
         "base": [[pt.label(), mult] for pt, mult in base.points],
         "blowup_points": [[cp.point.label(), mult] for cp, mult in above],
-        "m0_preserved": m0_preserved,
+        "m0_preserved": True,  # transport keeps the degree: see fiber_sum_check
     }
 
 

@@ -581,8 +581,8 @@ class ClosedPoint:
     The public constructor checks its polynomial: it raises ``ValueError``
     for a constant and, by Rabin's test, for a reducible one.  The private
     :meth:`_factor_of` checks nothing; it wraps a factor that
-    ``ResiduePoly.factor`` returned, or a translate of one, which is
-    irreducible by construction (see ``_factor``).
+    ``ResiduePoly.factor`` returned, a translate of one, or a variable,
+    each irreducible by construction (see ``_factor``).
     """
 
     minimal_poly: ResiduePoly
@@ -596,8 +596,8 @@ class ClosedPoint:
 
     @classmethod
     def _factor_of(cls, q: ResiduePoly, chart: str) -> "ClosedPoint":
-        """The point of a factor from ``ResiduePoly.factor`` or of its
-        translate, built without ``__post_init__``'s checks."""
+        """The point of a factor from ``ResiduePoly.factor``, of its
+        translate or of a variable, built without the checks."""
         pt = object.__new__(cls)
         object.__setattr__(pt, "minimal_poly", q)
         object.__setattr__(pt, "chart", chart)

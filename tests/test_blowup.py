@@ -15,6 +15,7 @@ from padicdx import (
     PAdicScalar,
     ResiduePoly,
     TatePoly,
+    TruncatedOperand,
     ZeroOperator,
     char_cycle,
     chart_commutator_constant,
@@ -286,17 +287,16 @@ def test_fiber_report_matches_the_public_functions(monkeypatch):
             P = DiffOp({rng.randint(1, 2): lead, 0: rand_poly(rng, p, 2)}, p)
             B = BlowupModel(rng.choice([PAdicScalar.zero(p), w(p)]), rng.choice([1, 2]))
             calls.clear()
-            ok, base, above, m0_preserved = blowup._fiber_report(P, B)
+            base, above = blowup._fiber_report(P, B)
             assert len(calls) == 2
             calls.clear()
             supports.clear()
-            assert ok is fiber_sum_check(P, B)
+            assert fiber_sum_check(P, B) is True
             assert calls == [] and supports == []
             assert base == infinite_support(P)
             calls.clear()
             assert above == support_on_blowup(P, B)
             assert len(calls) == 2
-            assert m0_preserved is (pull_operator_u1(P, B, B.m).degree() == P.degree())
 
 
 @settings(max_examples=80, deadline=None)
@@ -306,43 +306,42 @@ def test_fiber_report_matches_the_public_functions(monkeypatch):
     m=st.integers(1, 3),
 )
 def test_m0_preserved_is_the_degree_kept_by_transport(seed, p, m):
-    from padicdx import blowup
-
+    """fiber-check reports m0_preserved as True without computing it:
+    transport keeps the degree in the derivation of every operator."""
     rng = random.Random(seed)
     B = BlowupModel(rand_scalar(rng, p, (0, 3)), m)
     P = rand_diffop(rng, p, max_dd=3, max_dx=3, nonzero=True)
-    m0_preserved = blowup._fiber_report(P, B)[3]
-    assert m0_preserved is (pull_operator_u1(P, B, B.m).degree() == P.degree())
+    assert pull_operator_u1(P, B, B.m).degree() == P.degree()
 
 
-def test_m0_preserved_reads_the_pulled_leading_coefficient(monkeypatch):
-    """Transport keeps every nonzero coefficient, so m0_preserved is true
-    on every input; a pulled leading coefficient that reports itself zero,
-    as a lossy transport would give, shows as a degree not kept, and
-    fiber_sum_check is then False."""
-    from padicdx import blowup
-    from padicdx.tatepoly import _make
+ZERO = (ZeroOperator, "zero operator")
+TRUNCATED = (TruncatedOperand, "support undecidable for a truncated operator")
+# each function and what it raises on each operator of REFUSED, in order
+REFUSALS = {
+    "fiber_sum_check": (lambda P: fiber_sum_check(P, origin_blowup(3)), ZERO, ZERO, TRUNCATED),
+    "support_on_blowup": (lambda P: support_on_blowup(P, origin_blowup(3)), ZERO, TRUNCATED, TRUNCATED),
+    "infinite_support": (infinite_support, ZERO, TRUNCATED, TRUNCATED),
+    "char_cycle": (
+        char_cycle,
+        (ZeroOperator, "the module presented by zero is not cyclic-finite"),
+        (TruncatedOperand, "cycle undecidable for a truncated operator"),
+        (TruncatedOperand, "cycle undecidable for a truncated operator"),
+    ),
+}
+REFUSED = {
+    "zero": lambda: DiffOp.zero(3),
+    "truncated zero": lambda: DiffOp.truncated({}, 3),
+    "truncated": lambda: DiffOp.truncated({1: 1}, 3),
+}
 
-    class LostLead(TatePoly):
-        def is_zero(self):
-            return True
 
-        def normalize(self):  # the inner chart points stay those of the true pullback
-            return _make(self.num, self.den, self.p, self.var).normalize()
-
-    pull = blowup.pull_function_u1
-
-    def lossy(f, B):
-        g = pull(f, B)
-        lost = object.__new__(LostLead)
-        for name in TatePoly.__slots__:
-            getattr(TatePoly, name).__set__(lost, getattr(g, name))
-        return lost
-
-    p = 3
-    P = DiffOp({2: fixture_lead(p), 0: TatePoly.one(p)}, p)
-    B = origin_blowup(p)
-    assert blowup._fiber_report(P, B)[3] is True
-    monkeypatch.setattr(blowup, "pull_function_u1", lossy)
-    ok, _, _, m0_preserved = blowup._fiber_report(P, B)
-    assert m0_preserved is False and ok is False
+@pytest.mark.parametrize("function", REFUSALS)
+@pytest.mark.parametrize("row", REFUSED)
+def test_refusals_of_the_support_functions(function, row):
+    """fiber_sum_check refuses the zero operator before a truncated one;
+    the support functions refuse a truncated operator first."""
+    call, *expected = REFUSALS[function]
+    error, message = expected[list(REFUSED).index(row)]
+    with pytest.raises(error) as caught:
+        call(REFUSED[row]())
+    assert type(caught.value) is error and str(caught.value) == message

@@ -10,11 +10,12 @@ certifies the degree-1 points of ``support_on_blowup``, and the Newton
 polygon of the recentred coefficient on valuations in (0, m) certifies
 its crossing multiplicity.
 
-``fiber_sum_check`` weighs the center by degrees alone; the reference
-verdict here reads the factor lists instead, as the kernel once did: the
-multiplicity of the base point at the reduced center against the
-multiplicities times residue degrees of the blow-up points off the strict
-transform.
+``fiber_sum_check`` computes nothing: its verdict is an identity of the
+Newton polygon of the recentred coefficient, tested here on the public
+functions.  The reference verdict reads the factor lists instead, as the
+kernel once did: the multiplicity of the base point at the reduced center
+against the multiplicities times residue degrees of the blow-up points
+off the strict transform.
 
 Points that come from the factorizer skip Rabin's test; each must equal
 the point the public, checked constructor builds from the same data.
@@ -135,7 +136,7 @@ def test_factor_points_equal_checked_points(PB):
     points = [pt for pt, _ in factor_reduction(g.reduce())]
     points += [pt for pt, _ in char_cycle(P).vertical]
     points += [cp.point for cp, _ in support_on_blowup(P, B)]
-    _, base, above, _ = _fiber_report(P, B)
+    base, above = _fiber_report(P, B)
     points += [pt for pt, _ in base.points] + [cp.point for cp, _ in above]
     for pt in points:
         assert_checked(pt)
@@ -157,7 +158,7 @@ def factor_verdict(P: DiffOp, B: BlowupModel) -> bool:
 def assert_verdicts_agree(P: DiffOp, B: BlowupModel):
     expected = factor_verdict(P, B)
     assert fiber_sum_check(P, B) is expected
-    assert _fiber_report(P, B)[0] is expected
+    assert _fiber_report(P, B) == (infinite_support(P), support_on_blowup(P, B))
 
 
 def assert_u2_points_are_translates(P: DiffOp, B: BlowupModel):
@@ -224,6 +225,36 @@ def test_fiber_verdict_at_a_nonzero_center(PB):
     assert B.center.reduce_mod_pi().value != 0
     assert_verdicts_agree(P, B)
     assert_u2_points_are_translates(P, B)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(operators(), centred_operators()))
+def test_fiber_sum_is_a_newton_polygon_identity(PB):
+    """What fiber_sum_check states without computing it: the order at zero
+    of the reduced normalized g(c + u) is the degree of the reduced
+    normalized inner-chart pullback plus the crossing multiplicity, and
+    transport keeps the degree in the derivation."""
+    P, B = PB
+    g = P.leading_coefficient()
+    h = g.compose_linear(B.center, PAdicScalar.one(P.p), g.var)
+    at_center = next(i for i, a in enumerate(h.normalize()[0].reduce().coeffs) if a)
+    inner = pull_function_u1(g, B).normalize()[0].reduce()
+    crossing = h.root_count_in_valuation_range(Fraction(0), Fraction(B.m))
+    assert at_center == inner.degree() + crossing
+    assert pull_operator_u1(P, B, B.m).degree() == P.degree()
+
+
+def test_fiber_sum_check_does_no_polynomial_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fiber_sum_check computed a polynomial")
+
+    p = 3
+    y = TatePoly.variable(p) - (1 + p)
+    P = DiffOp({2: y * (y - p) * (y * y - p**3), 0: TatePoly.one(p)}, p)
+    B = BlowupModel(PAdicScalar(1 + p, p), 2)
+    monkeypatch.setattr(TatePoly, "normalize", refuse)
+    monkeypatch.setattr(TatePoly, "compose_linear", refuse)
+    assert fiber_sum_check(P, B) is True
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -28,14 +28,14 @@ i < 1000 at p = 2, one product of two long lists of narrow entries, whose
 reduces to n distinct linear factors: ``ROOT_SCAN`` at p = 101 with
 n = 60, where equal-degree splitting finds the roots by evaluation (p at
 most ``residue._SCAN_MAX``), and ``ROOT_SPLIT`` at p = 10007 with n = 12,
-where it draws random splits.  ``FIBER_SUM`` takes ``fiber_sum_check`` of
-the same shape of operator at p = 101 over the blow-up at c = 3, m = 2,
-with 60 roots c + p^e·u, u = 1..15, for each e in 0..3: off the center,
-at the crossing point and on the inner chart.  A run is the seconds
-``micro_invert``, the power, ``char_cycle`` or ``fiber_sum_check`` took,
-or ``"timeout"`` when the process hit the cap; each rung records every
-run with their median, min and max, a timeout counting as slower than
-any time.  In ``BENCH_17.json`` the three runs of the -48 rung spread
+where it draws random splits.  ``BLOWUP_SUPPORT`` takes
+``support_on_blowup`` of the same shape of operator at p = 101 over the
+blow-up at c = 3, m = 2, with 60 roots c + p^e·u, u = 1..15, for each e
+in 0..3: off the center, at the crossing point and on the inner chart.
+A run is the seconds ``micro_invert``, the power, ``char_cycle`` or
+``support_on_blowup`` took, or ``"timeout"`` when the process hit the
+cap; each rung records every run with their median, min and max, a
+timeout counting as slower than any time.  In ``BENCH_17.json`` the three runs of the -48 rung spread
 from 1.25 to 1.30 s on the parent and from 0.73 to 0.81 s on the change,
 at most 11% of their medians.
 """
@@ -69,7 +69,7 @@ SEED71_UNIT = (
 # the rungs: name, operator text ("" for the benchmark's hard operator) and the
 # levels p, k, r, eps of an inversion; name, base text and p, exponent of a
 # power; name, operator text and p of a characteristic cycle; or name,
-# operator text and p, center c, level m of a fiber-sum check
+# operator text and p, center c, level m of a support on a blow-up
 LADDER = (
     ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -24}),
     ("HARD_INVERT", "", {"p": 2, "k": 2, "r": 1, "eps": -36}),
@@ -81,18 +81,18 @@ LADDER = (
     ("NARROW_SQUARE", " + ".join(f"7*x^{i}" for i in range(1000)), {"p": 2, "exponent": 2}),
     ("ROOT_SCAN", "*".join(f"(x - {c})" for c in range(1, 61)) + "*d + 1", {"p": 101}),
     ("ROOT_SPLIT", "*".join(f"(x - {7 * c})" for c in range(1, 13)) + "*d + 1", {"p": 10007}),
-    ("FIBER_SUM", "*".join(f"(x - {3 + 101**e * u})" for e in range(4) for u in range(1, 16))
+    ("BLOWUP_SUPPORT", "*".join(f"(x - {3 + 101**e * u})" for e in range(4) for u in range(1, 16))
      + "*d + 1", {"p": 101, "c": 3, "m": 2}),
 )
 LADDER_CAP_S = 60
 LADDER_REPEATS = 5
 # one rung, run from the root of a checkout with the text and the levels of
 # LADDER as arguments (name=value); it times the inversion, the power, the
-# fiber-sum check or the cycle alone
+# support on the blow-up or the cycle alone
 RUNG = """import sys, time
 sys.path[:0] = ["src", "perfbench"]
 from workloads import hard_invert_operator
-from padicdx import BlowupModel, PAdicScalar, char_cycle, fiber_sum_check, micro_invert
+from padicdx import BlowupModel, PAdicScalar, char_cycle, micro_invert, support_on_blowup
 from padicdx.opparse import parse, to_diff_op, to_micro_op
 text, levels = sys.argv[1], {k: int(v) for k, v in (a.split("=") for a in sys.argv[2:])}
 p = levels["p"]
@@ -107,7 +107,7 @@ elif "exponent" in levels:
 elif "m" in levels:
     P, B = to_diff_op(parse(text), p), BlowupModel(PAdicScalar(levels["c"], p), levels["m"])
     start = time.perf_counter()
-    fiber_sum_check(P, B)
+    support_on_blowup(P, B)
 else:
     P = to_diff_op(parse(text), p)
     start = time.perf_counter()
