@@ -15,18 +15,21 @@ Rationals are integer literals or slash fractions written without
 spaces.  The syntax tree preserves the source shape, parentheses
 included.
 
-A subexpression without the derivation evaluates to a function, with
-polynomial arithmetic: the product rule of operators of order zero is
-the polynomial product.  Above a ``d`` leaf the product rule moves
-coefficients left of the derivation powers.  A power over the limits
-below raises ``ConfigError`` before it is built.
+Evaluation runs on bare integers: a subexpression's value maps each
+power of the derivation to integer numerators over one denominator, so a
+subexpression without the derivation is a function with polynomial
+arithmetic.  A left factor without the derivation multiplies each
+coefficient of the right one; only a left factor holding ``d`` takes the
+Leibniz product, which moves coefficients left of the derivation powers.
+Each coefficient is made canonical once, when the operator is built, and
+a power's base before the power: a power over the limits below raises
+``ConfigError`` on the canonical sizes, before it is built.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     ConfigError,
@@ -35,9 +38,10 @@ from .errors import (
     ParseError,
 )
 from .micro import MicroOp
-from .residue import _format_terms
-from .scalars import is_prime
-from .tatepoly import TatePoly, _make
+from .residue import _format_terms, _mul_into
+from .scalars import _square_multiply, is_prime
+from .tatepoly import _add_lists, _canon
+from . import weyl
 from .weyl import DiffOp
 
 VARIABLES = ("x", "t", "u")
@@ -335,49 +339,78 @@ def strip_parens(node):
 
 
 class _Normalizer:
-    """Bottom-up evaluation: a subtree without the derivation stays a
-    TatePoly, and a MicroOp appears only at a ``d`` leaf."""
+    """Bottom-up evaluation on bare integers.  A value is a {power of d:
+    (numerators, denominator)} map with no zero coefficient and no
+    trailing zero numerator; a value without d is {} or {0: f}.  Sums add
+    per power over the lcm of the denominators.  A left factor without d
+    multiplies each coefficient of the right one by ``_mul_into``, and only
+    a left factor holding d takes a Leibniz product.  Coefficients are
+    made canonical by ``_canon`` at the end, and before a power, whose
+    limits read canonical sizes, and a Leibniz product, which takes
+    polynomials.  Every leaf refuses a modulus that is not a prime, after
+    its own checks."""
 
     def __init__(self, p: int, default_var: str):
         self.p = p
         self.var: str | None = None
         self.default_var = default_var
+        self.prime = is_prime(p)
 
-    def _constant(self, value) -> TatePoly:
-        return TatePoly((value,), self.p, self.var or self.default_var)
+    def _leaf(self, n: int, num: list, den: int = 1) -> dict:
+        if not self.prime:
+            raise ValueError(f"{self.p} is not a prime")
+        return {n: (num, den)} if num[-1] else {}
 
-    def eval(self, node):
+    def _polys(self, value: dict) -> dict:
+        var = self.var or self.default_var
+        return {n: _canon(num, den, self.p, var) for n, (num, den) in value.items()}
+
+    def eval(self, node) -> dict:
         if isinstance(node, Rational):
-            return self._constant(Fraction(node.numerator, node.denominator))
+            return self._leaf(0, [node.numerator], node.denominator)
         if isinstance(node, Symbol):
             return self._power(node, 1)
         if isinstance(node, Paren):
             return self.eval(node.inner)
         if isinstance(node, Neg):
-            return -self.eval(node.operand)
+            value = self.eval(node.operand)
+            return {n: ([-a for a in num], den) for n, (num, den) in value.items()}
         if isinstance(node, Sum):
             out = self.eval(node.terms[0])
             for term in node.terms[1:]:
-                out = out + self.eval(term)
+                _add_into(out, self.eval(term))
             return out
         if isinstance(node, Product):
             out = self.eval(node.factors[0])
             for factor in node.factors[1:]:
-                out = out * self.eval(factor)
+                out = self._mul(out, self.eval(factor))
             return out
         if isinstance(node, Power):
             return self._power(node.base, node.exponent)
         raise TypeError(f"not a syntax tree node: {node!r}")
 
-    def _power(self, base, n: int):
+    def _mul(self, left: dict, right: dict) -> dict:
+        if left.keys() <= {0}:
+            # a function f, or zero: f times each coefficient
+            return {
+                n: (_mul_into([], a, b), da * db)
+                for a, da in left.values()
+                for n, (b, db) in right.items()
+            }
+        # through the module, so that a wrapper set on it counts the call
+        var = self.var or self.default_var
+        table = weyl.leibniz_product(self._polys(left), self._polys(right), self.p, var)
+        return {n: (c.num, c.den) for n, c in table.items() if c.num}
+
+    def _power(self, base, n: int) -> dict:
         p = self.p
         if base == _P:
             _check_p_exponent(n, p)
-            return self._constant(Fraction(p) ** n)
+            return self._leaf(0, [p ** max(n, 0)], p ** max(-n, 0))
         if abs(n) > MAX_EXPONENT:
             raise ConfigError(f"exponent {n} is over the limit {MAX_EXPONENT}")
         if base == _D:
-            return MicroOp.d_power(n, p, self.var or self.default_var)
+            return self._leaf(n, [1])
         if n < 0:
             raise NegativePowerOutsideMicroMode("negative exponent only on d or p")
         if isinstance(base, Symbol):
@@ -387,23 +420,36 @@ class _Normalizer:
                 self.var = base.name
             elif self.var != base.name:
                 raise MixedVariables(f"expression mixes {self.var!r} and {base.name!r}")
-            # the monomial: degree n <= MAX_DEGREE and size 2n <= MAX_BITS,
-            # built canonical with the one prime check TatePoly would make
-            if not is_prime(p):
-                raise ValueError(f"{p} is not a prime")
-            return _make((0,) * n + (1,), 1, p, base.name)
-        value = self.eval(base)
-        _check_power([value] if isinstance(value, TatePoly) else value.coeffs.values(), n)
-        return value**n
+            # the monomial: degree n <= MAX_DEGREE and size 2n <= MAX_BITS
+            return self._leaf(0, [0] * n + [1])
+        table = self._polys(self.eval(base))
+        _check_power(table.values(), n)
+        value = {m: (c.num, c.den) for m, c in table.items()}
+        return _square_multiply(value, n, self._mul) if n else {0: ([1], 1)}
+
+
+def _add_into(out: dict, value: dict):
+    """Add a value of ``_Normalizer`` into out, per power, dropping the
+    coefficients that cancel."""
+    for n, (b, db) in value.items():
+        if n not in out:
+            out[n] = (b, db)
+            continue
+        a, da = _add_lists(*out[n], b, db)
+        while a and not a[-1]:
+            a.pop()
+        if a:
+            out[n] = (a, da)
+        else:
+            del out[n]
 
 
 def to_micro_op(node, p: int, default_var: str = "x") -> MicroOp:
     """Evaluate a syntax tree in the Laurent operator ring; an expression
     without the derivation gives an operator of order zero."""
-    value = _Normalizer(p, default_var).eval(node)
-    if isinstance(value, TatePoly):
-        return MicroOp.from_poly(value)
-    return value
+    normalizer = _Normalizer(p, default_var)
+    value = normalizer.eval(node)
+    return MicroOp._of(normalizer._polys(value), p, normalizer.var or default_var)
 
 
 def to_diff_op(node, p: int, default_var: str = "x") -> DiffOp:

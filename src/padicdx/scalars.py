@@ -14,6 +14,7 @@ exponents as plain ints (``TatePoly._gauss_exp``) and builds a
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -163,16 +164,20 @@ class _Ring(_Immutable):
             raise ValueError(self._NEGATIVE_POWER)
         if not exp:
             return self.one(self.p, self.var)
-        # square and multiply from the lowest set bit, with no product by one
-        base = self
-        while not exp & 1:
-            base, exp = base * base, exp >> 1
-        out = base
-        while exp := exp >> 1:
-            base = base * base
-            if exp & 1:
-                out = out * base
-        return out
+        return _square_multiply(self, exp, operator.mul)
+
+
+def _square_multiply(base, exp: int, mul):
+    """base^exp for exp >= 1 under the product mul: square and multiply
+    from the lowest set bit, with no product by one."""
+    while not exp & 1:
+        base, exp = mul(base, base), exp >> 1
+    out = base
+    while exp := exp >> 1:
+        base = mul(base, base)
+        if exp & 1:
+            out = mul(out, base)
+    return out
 
 
 def _decimal(value) -> str:

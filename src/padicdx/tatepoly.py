@@ -52,6 +52,15 @@ def _make(num: tuple, den: int, p: int, var: str) -> "TatePoly":
     return f
 
 
+def _add_lists(a, da: int, b, db: int) -> tuple[list, int]:
+    """a/da + b/db as integer numerators over the lcm of the denominators."""
+    if da != db:
+        g = gcd(da, db)
+        a, b = [x * (db // g) for x in a], [y * (da // g) for y in b]
+        da = da // g * db
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)], da
+
+
 def _canon(num: list, den: int, p: int, var: str) -> "TatePoly":
     """The polynomial num/den in canonical form; requires den > 0."""
     while num and not num[-1]:
@@ -128,13 +137,7 @@ class TatePoly(_DensePoly):
         if o is None:
             return NotImplemented
         var = self._merge_var(o)
-        a, b, da, db = self.num, o.num, self.den, o.den
-        if da != db:
-            g = gcd(da, db)
-            a, b = [x * (db // g) for x in a], [y * (da // g) for y in b]
-            da = da // g * db
-        out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-        return _canon(out, da, self.p, var)
+        return _canon(*_add_lists(self.num, self.den, o.num, o.den), self.p, var)
 
     __radd__ = __add__
 

@@ -17,6 +17,8 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct, zip_longest
 
+from hypothesis import strategies as st
+
 from padicdx import (
     DiffOp,
     MicroOp,
@@ -386,3 +388,35 @@ def old_to_micro_op(node, p: int, default_var: str = "x") -> MicroOp:
     """Oracle for ``opparse.to_micro_op``: the same tree evaluated with
     operator arithmetic only."""
     return _OldNormalizer(p, default_var).eval(node)
+
+
+def expression_trees(micro: bool):
+    """Hypothesis strategy: syntax trees of at most six leaves over d, x,
+    t, p, small rationals and small powers; negative powers of d only in
+    Laurent mode."""
+    d, p, x = Symbol("d"), Symbol("p"), Symbol("x")
+    exponents = st.integers(1, 4)
+    leaves = [
+        st.just(d),
+        st.sampled_from([x, x, x, Symbol("t")]),
+        st.just(p),
+        st.builds(Rational, st.integers(0, 12), st.integers(1, 6)),
+        st.just(Rational(0)),
+        exponents.map(lambda n: Power(p, -n)),
+        st.sampled_from([Power(x, 0), Power(Symbol("t"), 0)]),
+        st.builds(Power, st.sampled_from([d, p, x]), st.integers(0, 3)),
+    ]
+    if micro:
+        leaves.append(exponents.map(lambda n: Power(d, -n)))
+
+    def extend(children):
+        many = st.lists(children, min_size=2, max_size=3).map(tuple)
+        return st.one_of(
+            many.map(Sum),
+            many.map(Product),
+            st.builds(lambda c, n: Power(Paren(c), n), children, st.integers(-1, 3)),
+            children.map(Neg),
+            children.map(Paren),
+        )
+
+    return st.recursive(st.one_of(leaves), extend, max_leaves=6)

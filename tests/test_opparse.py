@@ -116,9 +116,10 @@ def test_variable_t_accepted():
 
 
 def test_monomials_are_built_without_a_fraction_per_zero(monkeypatch):
-    """x^n is built canonical: the sum of 7*x^i for i < 1000 makes one
-    _fraction call per constant 7, not one per zero below each power, and
-    a power of a variable still refuses a modulus that is not a prime."""
+    """x^n is built canonical: the sum of 7*x^i for i < 1000 makes at
+    most one _fraction call per constant 7, never one per zero below each
+    power, and a power of a variable still refuses a modulus that is not
+    a prime."""
     from padicdx import tatepoly
 
     calls = []
@@ -126,7 +127,7 @@ def test_monomials_are_built_without_a_fraction_per_zero(monkeypatch):
     monkeypatch.setattr(tatepoly, "_fraction", lambda *a: calls.append(a) or fraction(*a))
     text = " + ".join(f"7*x^{i}" for i in range(1000))
     S = to_micro_op(parse(text, micro=True), 2)
-    assert len(calls) == 1000
+    assert len(calls) <= 1000
     assert S == MicroOp.from_poly(TatePoly([7] * 1000, 2))
     assert to_micro_op(parse("t^3", micro=True), 5) == MicroOp.from_poly(
         TatePoly.variable(5, "t") ** 3

@@ -7,45 +7,24 @@ import json
 import signal
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import padicdx.opparse as opparse
 import padicdx.weyl as weyl
 from padicdx import parse, print_expr, to_diff_op, to_micro_op
 from padicdx.cli import main
-from padicdx.opparse import Neg, Paren, Power, Product, Rational, Sum, Symbol
+from padicdx.errors import (
+    ConfigError,
+    MixedVariables,
+    NegativePowerOutsideMicroMode,
+    ParseError,
+)
+from padicdx.opparse import Paren, Power, Product, Symbol
 
-from helpers import old_to_micro_op
+from helpers import expression_trees, old_to_micro_op
 
-D, P = Symbol("d"), Symbol("p")
-POW = st.integers(1, 4)
-
-
-def _trees(micro: bool):
-    leaves = [
-        st.just(D),
-        st.sampled_from([Symbol("x"), Symbol("x"), Symbol("x"), Symbol("t")]),
-        st.just(P),
-        st.builds(Rational, st.integers(0, 12), st.integers(1, 6)),
-        st.just(Rational(0)),
-        POW.map(lambda n: Power(P, -n)),
-        st.sampled_from([Power(Symbol("x"), 0), Power(Symbol("t"), 0)]),
-        st.builds(Power, st.sampled_from([D, P, Symbol("x")]), st.integers(0, 3)),
-    ]
-    if micro:
-        leaves.append(POW.map(lambda n: Power(D, -n)))
-
-    def extend(children):
-        many = st.lists(children, min_size=2, max_size=3).map(tuple)
-        return st.one_of(
-            many.map(Sum),
-            many.map(Product),
-            st.builds(lambda c, n: Power(Paren(c), n), children, st.integers(-1, 3)),
-            children.map(Neg),
-            children.map(Paren),
-        )
-
-    return st.recursive(st.one_of(leaves), extend, max_leaves=6)
+D = Symbol("d")
 
 
 def _old_to_diff_op(tree, p, var):
@@ -75,7 +54,7 @@ def _assert_same(new, old):
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from([2, 3, 5]), st.sampled_from(["x", "t"]))
 def test_laurent_evaluation_matches_the_operator_oracle(data, p, var):
-    tree = data.draw(_trees(micro=True))
+    tree = data.draw(expression_trees(micro=True))
     _assert_same(
         _outcome(to_micro_op, tree, p, var), _outcome(old_to_micro_op, tree, p, var)
     )
@@ -84,10 +63,66 @@ def test_laurent_evaluation_matches_the_operator_oracle(data, p, var):
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from([2, 3, 5]), st.sampled_from(["x", "t"]))
 def test_finite_evaluation_matches_the_operator_oracle(data, p, var):
-    tree = data.draw(_trees(micro=False))
+    tree = data.draw(expression_trees(micro=False))
     _assert_same(
         _outcome(to_diff_op, tree, p, var), _outcome(_old_to_diff_op, tree, p, var)
     )
+
+
+# (tree, or text parsed in Laurent mode; p; the outcome of to_micro_op and
+# of to_diff_op): an exception type, or None for a value equal to the
+# oracle's; the oracle checks no size limit, so it is asked for every
+# outcome but ConfigError
+ERROR_ORDER = [
+    # a limit is checked before the variable of its base
+    ("x*t^20000", 3, ConfigError, ConfigError),
+    ("t^20000*x", 3, ConfigError, ConfigError),
+    ("x*t", 3, MixedVariables, MixedVariables),
+    # the negative exponent is refused before the variable is read
+    (Product((Symbol("x"), Power(Symbol("t"), -1))), 3, NegativePowerOutsideMicroMode,
+     NegativePowerOutsideMicroMode),
+    # the exponent of p is bounded by bits at odd p and by a shift at p = 2
+    ("p^-40000*t", 3, ConfigError, ConfigError),
+    ("p^-14000*t", 3, ConfigError, ConfigError),
+    ("p^-14000*t", 2, None, None),
+    ("d^20000", 3, ConfigError, ConfigError),
+    (Power(Symbol("q"), 2), 3, ParseError, ParseError),
+    (Power(Symbol("q"), -1), 3, NegativePowerOutsideMicroMode, NegativePowerOutsideMicroMode),
+    (Power(Paren(D), -1), 3, NegativePowerOutsideMicroMode, NegativePowerOutsideMicroMode),
+    # every leaf checks the prime, zero included, after its own checks
+    ("0", 4, ValueError, ValueError),
+    ("d", 4, ValueError, ValueError),
+    ("x^3", 4, ValueError, ValueError),
+    ("d^20000", 4, ConfigError, ConfigError),
+    ("p^-40000", 4, ConfigError, ConfigError),
+    (Power(Symbol("q"), 2), 4, ParseError, ParseError),
+    # the limits read the canonical base: degree 100 * 101 > MAX_DEGREE,
+    # and a base over them only as written, 23 bits or degree 200, passes
+    ("(x^100)^101", 3, ConfigError, ConfigError),
+    ("(1024/2048*x)^5000", 3, None, None),
+    ("(x^200 + 1 - x^200)^100", 3, None, None),
+    # evaluation is Laurent; only the finite view refuses d^-1
+    ("d*d^-1", 3, None, None),
+    ("d^-1*x", 3, None, NegativePowerOutsideMicroMode),
+    ("x*d^-1", 3, None, NegativePowerOutsideMicroMode),
+    ("(d - d)*d^-1 + 1", 3, None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "tree, p, micro, finite", ERROR_ORDER,
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_refusals_come_from_the_same_node_in_the_same_order(tree, p, micro, finite):
+    if isinstance(tree, str):
+        tree = parse(tree, micro=True)
+    pairs = ((to_micro_op, old_to_micro_op, micro), (to_diff_op, _old_to_diff_op, finite))
+    for evaluate, oracle, expected in pairs:
+        outcome = _outcome(evaluate, tree, p, "x")
+        if expected is not ConfigError:
+            _assert_same(outcome, _outcome(oracle, tree, p, "x"))
+        if expected is not None:
+            assert outcome is expected
 
 
 def _document(argv) -> tuple[int, str]:
@@ -104,7 +139,7 @@ def _document(argv) -> tuple[int, str]:
     st.sampled_from(["norm", "order", "thm28", "charvar", "micro-check"]),
 )
 def test_cli_documents_match_the_operator_oracle(data, p, command):
-    text = print_expr(data.draw(_trees(micro=command == "micro-check")))
+    text = print_expr(data.draw(expression_trees(micro=command == "micro-check")))
     argv = [command, "-p", str(p), text]
     new = _document(argv)
     with mock.patch.object(opparse, "to_micro_op", old_to_micro_op):
