@@ -1,7 +1,10 @@
 """The CLI is a total function of its argv: any argv built from the
 subcommands, their flags and expression text gives exactly one JSON
 document that validates against the schema, with exit code 0, 1 or 2,
-within one second, in process through ``main()``."""
+within one second, in process through ``main()``.  The draws seldom pair
+an invertible operator with a large |eps|: the time of such an inversion
+has no limit yet, and ``micro-invert`` of ``1 + p*x*d^-1`` at p = 3 and
+eps -500 takes many seconds."""
 
 import contextlib
 import io
@@ -24,6 +27,7 @@ SCHEMA = json.loads(
 )
 # built once: jsonschema.validate checks the schema itself on every call
 VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
 
 def _expressions(wild: bool):
     trees = expression_trees(micro=True).map(print_expr)
