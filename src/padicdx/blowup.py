@@ -16,9 +16,9 @@ Support points on the blow-up are computed per chart:
   at the reduced center, shifted into the chart coordinate (the blow-up
   is an isomorphism off the center);
 * the crossing point of the exceptional locus with the strict transform:
-  its multiplicity is the number of roots of the recentered dominant
-  coefficient with valuation strictly between zero and the blow-up
-  level, read off the Newton polygon.
+  its multiplicity, the base multiplicity at the reduced center less the
+  inner-chart degree, is the number of recentered roots with valuation
+  strictly between zero and the blow-up level (see fiber_sum_check).
 
 The two charts overlap along the punctured exceptional line; an inner
 point with nonzero coordinate and a strict-transform point related by
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .charcycle import _point_json, char_cycle, infinite_support
 from .errors import LevelTooSmall, NegativeValuation, ZeroOperator
@@ -148,22 +147,24 @@ def support_on_blowup(
 
 def _chart_points(P: DiffOp, B: BlowupModel, base_points) -> list:
     """support_on_blowup, given the base support points with their
-    multiplicities; the leading coefficient is pulled and recentered once."""
+    multiplicities; the leading coefficient is pulled once, and the crossing
+    is the center's multiplicity less the inner degree (fiber_sum_check)."""
     lead = P.leading_coefficient()
     inner = pull_function_u1(lead, B).normalize()[0].reduce()
     out = [
         (ChartPoint(Chart.U1, ClosedPoint._factor_of(q, Chart.U1.value)), mult)
         for q, mult in inner.factor()
     ]
+    crossing = -inner.degree()
     # strict transform: the base points but the one at the center, shifted
     center_red = B.center.reduce_mod_pi().value
     for pt, mult in base_points:
         shifted = pt.minimal_poly.translate(center_red).with_var(U2_VAR)
-        if shifted.coeffs != (0, 1):
+        if shifted.coeffs == (0, 1):
+            crossing += mult
+        else:
             point = ClosedPoint._factor_of(shifted, Chart.U2.value)
             out.append((ChartPoint(Chart.U2, point), mult))
-    recentered = lead.compose_linear(B.center, PAdicScalar.one(P.p), lead.var)
-    crossing = recentered.root_count_in_valuation_range(Fraction(0), Fraction(B.m))
     if crossing > 0:
         origin = ClosedPoint._factor_of(ResiduePoly.variable(B.p, U2_VAR), Chart.CROSSING.value)
         out.append((ChartPoint(Chart.CROSSING, origin), crossing))

@@ -287,23 +287,6 @@ class TatePoly(_DensePoly):
             out.append((-slope, x2 - x1))
         return out
 
-    def root_count_in_valuation_range(self, low, high) -> int:
-        """Number of roots with valuation strictly between low and high.
-
-        Zero roots (valuation infinity) are included when ``high`` is
-        ``None`` (unbounded above).
-        """
-        count = 0
-        ord0 = 0
-        while ord0 < len(self.num) and not self.num[ord0]:
-            ord0 += 1
-        if high is None and ord0 > 0:
-            count += ord0
-        for val, mult in self.newton_valuation_counts():
-            if val > low and (high is None or val < high):
-                count += mult
-        return count
-
     # misc
 
     def _eq_key(self):

@@ -31,6 +31,18 @@ def test_norm_subcommand(capsys):
     assert doc["order"] == 2
 
 
+def test_expression_with_a_leading_minus_comes_after_double_dash(capsys):
+    code, doc = run(capsys, "norm", "-p", "2", "--", "-x*d")
+    assert (code, doc) == run(capsys, "norm", "-p", "2", "--", "0 - x*d")
+    assert code == 0
+    code, doc = run(capsys, "norm", "-p", "2", "-x*d")
+    assert code == 1
+    assert doc["error"] == {
+        "type": "ConfigError",
+        "message": "the following arguments are required: expr",
+    }
+
+
 def test_order_subcommand(capsys):
     code, doc = run(capsys, "order", "-p", "2", "-k", "1", "p^3*d^2 + d")
     assert code == 0

@@ -239,7 +239,7 @@ def test_fiber_sum_is_a_newton_polygon_identity(PB):
     h = g.compose_linear(B.center, PAdicScalar.one(P.p), g.var)
     at_center = next(i for i, a in enumerate(h.normalize()[0].reduce().coeffs) if a)
     inner = pull_function_u1(g, B).normalize()[0].reduce()
-    crossing = h.root_count_in_valuation_range(Fraction(0), Fraction(B.m))
+    crossing = sum(n for v, n in h.newton_valuation_counts() if 0 < v < B.m)
     assert at_center == inner.degree() + crossing
     assert pull_operator_u1(P, B, B.m).degree() == P.degree()
 
@@ -255,6 +255,47 @@ def test_fiber_sum_check_does_no_polynomial_arithmetic(monkeypatch):
     monkeypatch.setattr(TatePoly, "normalize", refuse)
     monkeypatch.setattr(TatePoly, "compose_linear", refuse)
     assert fiber_sum_check(P, B) is True
+
+
+def test_chart_points_pull_once_and_build_no_newton_polygon(monkeypatch):
+    """The crossing is the base multiplicity at the center less the inner
+    degree: one pullback per call, no Newton polygon, the same points."""
+    p = 3
+    b, a = irreducible_quadratic(p)
+    y = TatePoly.variable(p) - (1 + p)
+    pairs = TatePoly.one(p)
+    for e in range(5):
+        pairs = pairs * (y * y + y * (b * Fraction(p) ** e) + a * Fraction(p) ** (2 * e))
+    cases = [
+        # pairs of residue degree 2 at v(x - c) = 0..4: crossing 4 at m = 3
+        (DiffOp({2: pairs, 0: TatePoly.one(p)}, p), 3, 4),
+        # roots at lambda = infinity (twice), 1 and 0: crossing 1 at m = 2
+        (DiffOp({1: y * y * (y - p) * (y - 1), 0: TatePoly.one(p)}, p), 2, 1),
+    ]
+    expected = []
+    for P, m, crossing in cases:
+        B = BlowupModel(PAdicScalar(1 + p, p), m)
+        above = support_on_blowup(P, B)
+        assert dict((cp.chart, k) for cp, k in above)[Chart.CROSSING] == crossing
+        expected.append((P, B, above, _fiber_report(P, B)))
+
+    pulls = []
+    compose_linear = TatePoly.compose_linear
+
+    def counted(self, *args, **kwargs):
+        pulls.append(args)
+        return compose_linear(self, *args, **kwargs)
+
+    def refuse(self):
+        raise AssertionError("a Newton polygon was built")
+
+    monkeypatch.setattr(TatePoly, "compose_linear", counted)
+    monkeypatch.setattr(TatePoly, "newton_valuation_counts", refuse)
+    for P, B, above, report in expected:
+        for call, want in ((support_on_blowup, above), (_fiber_report, report)):
+            pulls.clear()
+            assert call(P, B) == want
+            assert len(pulls) == 1
 
 
 @pytest.mark.parametrize("p", PRIMES)
