@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .micro import _decay_level
 from .residue import ClosedPoint, factor_reduction
+from .scalars import _operand
 from .weyl import DiffOp
 
 Multiplicities = tuple[tuple[ClosedPoint, int], ...]
@@ -50,6 +51,10 @@ class CharCycle:
     def is_zero(self) -> bool:
         return self.m0 == 0 and not self.vertical
 
+    def _check(self, other):
+        return other if isinstance(other, CharCycle) else None
+
+    @_operand
     def __add__(self, other: "CharCycle") -> "CharCycle":
         return cc_add(self, other)
 

@@ -34,7 +34,7 @@ from itertools import islice, zip_longest
 from operator import add
 
 from .errors import MixedPrimes, MixedVariables, ZeroInput
-from .scalars import _Field, _Ring, _decimal, is_prime
+from .scalars import _Field, _Ring, _decimal, _operand, _square_multiply, is_prime
 
 _EDF_SEED = 0x5EED
 # the largest p at which equal-degree splitting finds linear factors by
@@ -54,7 +54,7 @@ class ResidueElem(_Field):
             raise ValueError(f"{self.p} is not a prime")
         object.__setattr__(self, "value", self.value % self.p)
 
-    def _coerce(self, other):
+    def _check(self, other):
         if isinstance(other, ResidueElem):
             if other.p != self.p:
                 raise MixedPrimes("mixed primes")
@@ -68,11 +68,9 @@ class ResidueElem(_Field):
             raise ZeroDivisionError("residue zero has no inverse")
         return ResidueElem(pow(self.value, -1, self.p), self.p)
 
+    @_operand
     def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return self * ResidueElem(v, self.p).inverse()
+        return self * ResidueElem(other, self.p).inverse()
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -199,14 +197,9 @@ def _gcd(a, b, p: int) -> list:
 
 def _pow_mod(a, exp: int, f, p: int) -> list:
     """a^exp mod f by square and multiply."""
-    out, base = _divmod([1], f, p)[1], _divmod(a, f, p)[1]
-    while exp:
-        if exp & 1:
-            out = _divmod(_mul(out, base, p), f, p)[1]
-        exp >>= 1
-        if exp:
-            base = _divmod(_mul(base, base, p), f, p)[1]
-    return out
+    if not exp:
+        return _divmod([1], f, p)[1]
+    return _square_multiply(_divmod(a, f, p)[1], exp, lambda u, v: _divmod(_mul(u, v, p), f, p)[1])
 
 
 def _value(a, c: int, p: int) -> int:
@@ -446,14 +439,12 @@ class ResiduePoly(_DensePoly):
 
     # arithmetic
 
+    @_operand
     def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        var = self._merge_var(o)
-        n = max(len(self.coeffs), len(o.coeffs))
+        var = self._merge_var(other)
+        n = max(len(self.coeffs), len(other.coeffs))
         return ResiduePoly(
-            [self.coefficient(i) + o.coefficient(i) for i in range(n)], self.p, var
+            [self.coefficient(i) + other.coefficient(i) for i in range(n)], self.p, var
         )
 
     __radd__ = __add__
@@ -461,22 +452,18 @@ class ResiduePoly(_DensePoly):
     def __neg__(self):
         return ResiduePoly([-c for c in self.coeffs], self.p, self.var)
 
+    @_operand
     def __mul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return ResiduePoly(_mul(self.coeffs, o.coeffs, self.p), self.p, self._merge_var(o))
+        return ResiduePoly(_mul(self.coeffs, other.coeffs, self.p), self.p, self._merge_var(other))
 
     __rmul__ = __mul__
 
+    @_operand
     def __divmod__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
+        if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        var = self._merge_var(o)
-        quo, rem = _divmod(self.coeffs, o.coeffs, self.p)
+        var = self._merge_var(other)
+        quo, rem = _divmod(self.coeffs, other.coeffs, self.p)
         return ResiduePoly(quo, self.p, var), ResiduePoly(rem, self.p, var)
 
     def __floordiv__(self, other):

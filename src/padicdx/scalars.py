@@ -17,7 +17,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache, total_ordering, wraps
 
 from .errors import ConfigError, MixedPrimes, NegativeValuation
 
@@ -72,6 +72,21 @@ def _rebuild(cls, slots: dict):
     return obj
 
 
+def _operand(method):
+    """The binary operator ``method(self, operand)`` on the operand
+    ``self._check(other)``; NotImplemented, so at last ``TypeError``, when
+    the check gives None.  The check raises ``MixedPrimes`` across primes."""
+
+    @wraps(method)
+    def binary(self, other):
+        operand = self._check(other)
+        if operand is None:
+            return NotImplemented
+        return method(self, operand)
+
+    return binary
+
+
 @total_ordering
 class NormExp(_Immutable):
     """A norm value p**exp on the exponent scale.
@@ -92,29 +107,25 @@ class NormExp(_Immutable):
     def is_neg_inf(self) -> bool:
         return self.exp is None
 
-    def __add__(self, other):
+    def _check(self, other):
         if isinstance(other, int):
-            other = NormExp(other)
-        if not isinstance(other, NormExp):
-            return NotImplemented
+            return NormExp(other)
+        return other if isinstance(other, NormExp) else None
+
+    @_operand
+    def __add__(self, other):
         if self.exp is None or other.exp is None:
             return NEG_INF
         return NormExp(self.exp + other.exp)
 
     __radd__ = __add__
 
+    @_operand
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = NormExp(other)
-        if not isinstance(other, NormExp):
-            return NotImplemented
         return self.exp == other.exp
 
+    @_operand
     def __lt__(self, other):
-        if isinstance(other, int):
-            other = NormExp(other)
-        if not isinstance(other, NormExp):
-            return NotImplemented
         if self.exp is None:
             return other.exp is not None
         if other.exp is None:
@@ -142,22 +153,18 @@ NormExp.NEG_INF = NEG_INF
 class _Ring(_Immutable):
     """The ring code the polynomial and operator classes share:
     subtraction through negation and powers by squaring.  A subclass
-    provides ``_check`` (an operand of the ring, or None), ``+``, unary
-    ``-``, ``*``, ``one(p, var)`` and the message ``_NEGATIVE_POWER``."""
+    provides ``_check`` (an operand of the ring, or None, for ``_operand``),
+    ``+``, unary ``-``, ``*``, ``one(p, var)`` and ``_NEGATIVE_POWER``."""
 
     __slots__ = ()
 
+    @_operand
     def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
+    @_operand
     def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return other - self
 
     def __pow__(self, exp: int):
         if exp < 0:
@@ -204,36 +211,28 @@ def _fraction_valuation(n: int, p: int) -> int:
 
 class _Field:
     """The ring operators the two field-element classes share, on a value
-    and a prime ``p``.  A subclass provides ``_coerce`` (the value of an
-    operand, or None) and the constructor ``cls(value, p)``."""
+    and a prime ``p``.  A subclass provides ``_check`` (the value of an
+    operand, or None, for ``_operand``) and the constructor ``cls(value, p)``."""
 
     __slots__ = ()
 
+    @_operand
     def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return type(self)(self.value + v, self.p)
+        return type(self)(self.value + other, self.p)
 
     __radd__ = __add__
 
+    @_operand
     def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return type(self)(self.value - v, self.p)
+        return type(self)(self.value - other, self.p)
 
+    @_operand
     def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return type(self)(v - self.value, self.p)
+        return type(self)(other - self.value, self.p)
 
+    @_operand
     def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return type(self)(self.value * v, self.p)
+        return type(self)(self.value * other, self.p)
 
     __rmul__ = __mul__
 
@@ -308,7 +307,7 @@ class PAdicScalar(_Field, _Immutable):
 
     # arithmetic
 
-    def _coerce(self, other):
+    def _check(self, other):
         if isinstance(other, PAdicScalar):
             if other.p != self.p:
                 raise MixedPrimes("mixed primes")
@@ -317,17 +316,13 @@ class PAdicScalar(_Field, _Immutable):
             return Fraction(other)
         return None
 
+    @_operand
     def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PAdicScalar(self.value / v, self.p)
+        return PAdicScalar(self.value / other, self.p)
 
+    @_operand
     def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PAdicScalar(v / self.value, self.p)
+        return PAdicScalar(other / self.value, self.p)
 
     def __pow__(self, exp: int):
         return PAdicScalar(self.value**exp, self.p)

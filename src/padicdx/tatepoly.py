@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 from .errors import MixedPrimes, NormTooLarge, NotAUnit, ZeroInput
 from .residue import ResiduePoly, _DensePoly, _format_poly, _mul_into
-from .scalars import NEG_INF, NormExp, PAdicScalar, is_prime
+from .scalars import NEG_INF, NormExp, PAdicScalar, _operand, is_prime
 from .scalars import _fraction_valuation as _val
 
 
@@ -122,34 +122,31 @@ class TatePoly(_DensePoly):
         return self.coefficient(len(self.num) - 1)
 
     def _check(self, other):
-        if isinstance(other, (int, Fraction, PAdicScalar)):
-            return TatePoly((other,), self.p, self.var)
+        # a TatePoly first: isinstance against Fraction, an ABC, is slow
         if isinstance(other, TatePoly):
             if other.p != self.p:
                 raise MixedPrimes("mixed primes")
             return other
+        if isinstance(other, (int, Fraction, PAdicScalar)):
+            return TatePoly((other,), self.p, self.var)
         return None
 
     # arithmetic
 
+    @_operand
     def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        var = self._merge_var(o)
-        return _canon(*_add_lists(self.num, self.den, o.num, o.den), self.p, var)
+        var = self._merge_var(other)
+        return _canon(*_add_lists(self.num, self.den, other.num, other.den), self.p, var)
 
     __radd__ = __add__
 
     def __neg__(self):
         return _make(tuple(-a for a in self.num), self.den, self.p, self.var)
 
+    @_operand
     def __mul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        var = self._merge_var(o)
-        return _canon(_mul_into([], self.num, o.num), self.den * o.den, self.p, var)
+        var = self._merge_var(other)
+        return _canon(_mul_into([], self.num, other.num), self.den * other.den, self.p, var)
 
     __rmul__ = __mul__
 

@@ -27,7 +27,7 @@ from itertools import zip_longest
 
 from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
 from .residue import _format_terms, _mul_into
-from .scalars import NormExp, PAdicScalar, _Immutable, _Ring
+from .scalars import NormExp, PAdicScalar, _Immutable, _Ring, _operand
 from .scalars import _fraction_valuation as _val
 from .tatepoly import TatePoly, _canon
 
@@ -237,15 +237,13 @@ class _Operator(_Ring):
             raise MixedVariables(f"mixed variables {mine!r} and {theirs!r}")
         return mine or theirs or self.var
 
+    @_operand
     def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
         self._require_finite()
-        o._require_finite()
-        var = self._merge_var(o)
+        other._require_finite()
+        var = self._merge_var(other)
         out = dict(self.coeffs)
-        for n, c in o.coeffs.items():
+        for n, c in other.coeffs.items():
             out[n] = out.get(n, TatePoly.zero(self.p, var)) + c
         return self._of(out, self.p, var)
 
@@ -254,20 +252,16 @@ class _Operator(_Ring):
     def __neg__(self):
         return self._of({n: -c for n, c in self.coeffs.items()}, self.p, self.var, self.finite)
 
+    @_operand
     def __mul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
         self._require_finite()
-        o._require_finite()
-        var = self._merge_var(o)
-        return self._of(leibniz_product(self.coeffs, o.coeffs, self.p, var), self.p, var)
+        other._require_finite()
+        var = self._merge_var(other)
+        return self._of(leibniz_product(self.coeffs, other.coeffs, self.p, var), self.p, var)
 
+    @_operand
     def __rmul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o * self
+        return other * self
 
     def __pow__(self, exp: int):
         if exp > 0:  # the first power is a product too: refuse a truncated operator
@@ -429,6 +423,10 @@ class ConnectionMatrix(_Immutable):
             [[e.derivative() for e in row] for row in self.entries], self.p, self.var
         )
 
+    def _check(self, other):
+        return other if isinstance(other, ConnectionMatrix) else None
+
+    @_operand
     def __add__(self, other: "ConnectionMatrix") -> "ConnectionMatrix":
         if self.size != other.size:
             raise ValueError("size mismatch")
@@ -441,6 +439,7 @@ class ConnectionMatrix(_Immutable):
             self.var,
         )
 
+    @_operand
     def __mul__(self, other: "ConnectionMatrix") -> "ConnectionMatrix":
         if self.size != other.size:
             raise ValueError("size mismatch")

@@ -1,8 +1,10 @@
 """The pure helpers of ``tools/bench_record.py``, which build every
 ``BENCH_<n>.json``: the order of a pair, the spread of a ladder rung and
-the summary of a workload's runs."""
+the summary of a workload's runs; and what ``main`` keeps of an existing
+file."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -69,3 +71,32 @@ def test_summary_ands_correct_and_sums_failed_over_runs(bench_record):
         # statistics.quantiles' default, exclusive method
         assert out[metric] == {"median": 2.5, "q1": 1.25, "q3": 3.75, "runs": [1.0, 2.0, 3.0, 4.0]}
     assert bench_record.summary(runs[:2])["correct"] is True
+
+
+def test_a_file_of_the_same_revisions_keeps_its_ladder(bench_record, monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_record, "git", lambda *args: args[-1])  # rev-parse echoes
+    monkeypatch.setattr(bench_record, "export", lambda rev, into: into.mkdir() or into)
+    monkeypatch.setattr(bench_record, "run_once", lambda *args: _run(bench_record, 1.0))
+    out = tmp_path / "bench.json"
+    ladder = {"rungs": ["kept"]}
+    out.write_text(json.dumps(
+        {"sha": "B", "parent_sha": "A", "workloads": {"cycles": "kept"}, "hard_ladder": ladder}
+    ))
+
+    def refuse(*args):
+        raise AssertionError("a rung ran")
+
+    monkeypatch.setattr(bench_record, "rung", refuse)
+    argv = ["--parent", "A", "--workloads", "cli", "--pairs", "1", "--out", str(out)]
+    assert bench_record.main(argv + ["--change", "B"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["hard_ladder"] == ladder and set(doc["workloads"]) == {"cycles", "cli"}
+
+    runs = []
+    monkeypatch.setattr(bench_record, "rung", lambda *args: runs.append(args) or 0.5)
+    assert bench_record.main(argv + ["--change", "C"]) == 0
+    doc = json.loads(out.read_text())
+    rungs = doc["hard_ladder"]["rungs"]
+    assert len(runs) == 2 * bench_record.LADDER_REPEATS * len(bench_record.LADDER)
+    assert len(rungs) == len(bench_record.LADDER) and rungs[0]["change"]["median"] == 0.5
+    assert set(doc["workloads"]) == {"cli"}

@@ -47,6 +47,8 @@ VALUES = [
     ResiduePoly.variable(P),
     DiffOp({1: 1}, P),
     MicroOp.d_power(-1, P),
+    ConnectionMatrix([[1]], P),
+    char_cycle(DiffOp({1: 1}, P)),
 ]
 OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv, operator.mod, operator.lt]
 
@@ -60,9 +62,7 @@ def test_a_foreign_operand_raises_type_error(value, op):
         op(object(), value)
 
 
-@pytest.mark.parametrize(
-    "value", VALUES + [ConnectionMatrix([[1]], P)], ids=lambda v: type(v).__name__
-)
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_a_foreign_operand_is_unequal(value):
     assert value != object()
     assert not value == object()

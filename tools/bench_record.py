@@ -11,7 +11,8 @@ median and quartiles over the runs of the seven end-to-end metrics, every
 run's values, and how many pairs the change won on each metric; at the
 top, the revisions, the Python version, ``nproc`` and the ``src/*.py``
 line count of each side.  An existing ``--out`` file of the same two
-revisions keeps the workloads this run does not measure.
+revisions keeps the workloads this run does not measure, and keeps its
+hard-case ladder: no rung runs again.
 
 The file also holds the hard-case ladder, ``hard_ladder``: a list of
 rungs, each run five times per revision in alternating order, each run
@@ -175,6 +176,22 @@ def summary(runs: list) -> dict:
     return out
 
 
+def hard_ladder(trees: dict) -> dict:
+    """Every rung of LADDER, run LADDER_REPEATS times per side in alternating order."""
+    rungs = []
+    for name, text, levels in LADDER:
+        runs = {"parent": [], "change": []}
+        for i in range(LADDER_REPEATS):
+            for side in sides(i):
+                runs[side].append(rung(trees[side], text, levels))
+                print("ladder", name, levels, side, runs[side][-1], file=sys.stderr,
+                      flush=True)
+        rungs.append({"operator": name, **levels,
+                      **{side: ladder_spread(values) for side, values in runs.items()}})
+    return {"cap_s": LADDER_CAP_S, "repeats": LADDER_REPEATS,
+            "operators": {"SEED71_UNIT": SEED71_UNIT}, "rungs": rungs}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="the revision to compare against")
@@ -196,22 +213,12 @@ def main(argv=None) -> int:
     if out.exists():
         old = json.loads(out.read_text())
         if (old["sha"], old["parent_sha"]) == (doc["sha"], doc["parent_sha"]):
-            doc["workloads"] = old["workloads"]
+            doc["workloads"], doc["hard_ladder"] = old["workloads"], old["hard_ladder"]
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
-        rungs = []
-        for name, text, levels in LADDER:
-            runs = {"parent": [], "change": []}
-            for i in range(LADDER_REPEATS):
-                for side in sides(i):
-                    runs[side].append(rung(trees[side], text, levels))
-                    print("ladder", name, levels, side, runs[side][-1], file=sys.stderr,
-                          flush=True)
-            rungs.append({"operator": name, **levels,
-                          **{side: ladder_spread(values) for side, values in runs.items()}})
-        doc["hard_ladder"] = {"cap_s": LADDER_CAP_S, "repeats": LADDER_REPEATS,
-                              "operators": {"SEED71_UNIT": SEED71_UNIT}, "rungs": rungs}
+        if "hard_ladder" not in doc:
+            doc["hard_ladder"] = hard_ladder(trees)
         for workload in args.workloads:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
