@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import MixedPrimes
 from .micro import _decay_level
 from .residue import ClosedPoint, factor_reduction
 from .scalars import _operand
@@ -95,9 +96,13 @@ def char_cycle(P: DiffOp) -> CharCycle:
 
 
 def cc_add(c1: CharCycle, c2: CharCycle) -> CharCycle:
-    """Componentwise sum, merging vertical lines at equal points."""
+    """Componentwise sum, merging vertical lines at equal points;
+    ``MixedPrimes`` when the points lie over different primes."""
+    points = (*c1.vertical, *c2.vertical)
+    if len({pt.minimal_poly.p for pt, _ in points}) > 1:
+        raise MixedPrimes("mixed primes")
     merged: dict[ClosedPoint, int] = {}
-    for pt, m in list(c1.vertical) + list(c2.vertical):
+    for pt, m in points:
         merged[pt] = merged.get(pt, 0) + m
     return CharCycle(c1.m0 + c2.m0, _sorted_points(merged.items()))
 

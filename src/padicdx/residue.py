@@ -17,9 +17,10 @@ Kronecker substitution, one product of two large ints, from
 ``_PACK_MIN`` entries on both sides.  Remainders are schoolbook.
 
 The code :class:`ResiduePoly` shares with
-:class:`padicdx.tatepoly.TatePoly` lives here: the constructors and the
-variable rule in ``_DensePoly``, the printer in ``_format_poly``.
-Subtraction, powers and immutability come from ``padicdx.scalars._Ring``,
+:class:`padicdx.tatepoly.TatePoly` is ``_DensePoly``, over coefficients
+``num[i] / den`` (``den`` is 1 for a residue polynomial): constructors,
+structure, equality key, printer and variable rule.  Equality,
+subtraction, powers and immutability come from ``padicdx.scalars._Ring``,
 and the operators of :class:`ResidueElem` from ``padicdx.scalars._Field``.
 """
 
@@ -332,29 +333,13 @@ def _format_terms(pairs) -> str:
     return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
 
-def _format_poly(num, den: int, var: str) -> str:
-    """The text of the polynomial with coefficients num[i] / den, from the
-    top degree down, nonzero terms only."""
-    pairs = []
-    for i in range(len(num) - 1, -1, -1):
-        a = num[i]
-        if not a:
-            continue
-        mag = _decimal(Fraction(abs(a), den))
-        if i == 0:
-            body = mag
-        else:
-            v = var if i == 1 else f"{var}^{i}"
-            body = v if mag == "1" else f"{mag}*{v}"
-        pairs.append((a < 0, body))
-    return _format_terms(pairs)
-
-
 class _DensePoly(_Ring):
     """The code :class:`ResiduePoly` and :class:`padicdx.tatepoly.TatePoly`
-    share: the constructors and the variable rule.  Constants are
-    compatible with any variable symbol; binary operations otherwise
-    require matching variables."""
+    share, over the coefficients ``num[i] / den`` with trailing zeros
+    trimmed: the constructors, the structure, the equality key, the
+    printer and the variable rule.  Constants are compatible with any
+    variable symbol; binary operations otherwise require matching
+    variables."""
 
     __slots__ = ()
     _NEGATIVE_POWER = "negative power of a polynomial"
@@ -371,6 +356,21 @@ class _DensePoly(_Ring):
     def variable(cls, p: int, var: str = "x"):
         return cls((0, 1), p, var)
 
+    def degree(self) -> int:
+        """Degree, with -1 for the zero polynomial."""
+        return len(self.num) - 1
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def is_constant(self) -> bool:
+        return len(self.num) <= 1
+
+    def leading(self):
+        if not self.num:
+            raise ZeroInput("zero polynomial has no leading coefficient")
+        return self.coefficient(len(self.num) - 1)
+
     def _merge_var(self, other) -> str:
         if self.is_constant():
             return other.var
@@ -380,81 +380,84 @@ class _DensePoly(_Ring):
             raise MixedVariables(f"mixed variables {self.var!r} and {other.var!r}")
         return self.var
 
+    def _eq_key(self):
+        return (self.p, self.num, self.den, self.var if len(self.num) > 1 else "")
+
+    def __str__(self):
+        """The coefficients from the top degree down, nonzero terms only."""
+        num, den, var = self.num, self.den, self.var
+        pairs = []
+        for i in range(len(num) - 1, -1, -1):
+            a = num[i]
+            if not a:
+                continue
+            mag = _decimal(Fraction(abs(a), den))
+            if i == 0:
+                body = mag
+            else:
+                v = var if i == 1 else f"{var}^{i}"
+                body = v if mag == "1" else f"{mag}*{v}"
+            pairs.append((a < 0, body))
+        return _format_terms(pairs)
+
 
 class ResiduePoly(_DensePoly):
-    """A polynomial over the prime residue field, coefficients in
-    ``[0, p)``.  Immutable."""
+    """A polynomial over the prime residue field, coefficients ``num`` in
+    ``[0, p)`` over the denominator ``den = 1``.  Immutable."""
 
-    __slots__ = ("coeffs", "p", "var")
+    __slots__ = ("num", "p", "var")
+    den = 1
 
-    def __init__(self, coeffs, p: int, var: str = "x"):
+    def __new__(cls, coeffs, p: int, var: str = "x"):
         if not is_prime(p):
             raise ValueError(f"{p} is not a prime")
-        object.__setattr__(self, "coeffs", tuple(_trim([int(c) % p for c in coeffs])))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "var", var)
+        return cls._of(tuple(_trim([int(c) % p for c in coeffs])), p, var)
 
     @classmethod
     def _of(cls, coeffs: tuple, p: int, var: str) -> "ResiduePoly":
         """The polynomial of a coefficient tuple the kernel computed for
         the prime p, entries in [0, p) and trimmed; nothing is checked."""
         f = object.__new__(cls)
-        _SET_COEFFS(f, coeffs)
+        _SET_NUM(f, coeffs)
         _SET_P(f, p)
         _SET_VAR(f, var)
         return f
 
     # structure
 
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ZeroInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+    @property
+    def coeffs(self) -> tuple:
+        return self.num
 
     def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        return self.num[i] if 0 <= i < len(self.num) else 0
 
     def _check(self, other):
         if isinstance(other, int):
             return ResiduePoly((other,), self.p, self.var)
         if isinstance(other, ResidueElem):
-            if other.p != self.p:
-                raise MixedPrimes("mixed primes")
-            return ResiduePoly((other.value,), self.p, self.var)
-        if isinstance(other, ResiduePoly):
-            if other.p != self.p:
-                raise MixedPrimes("mixed primes")
-            return other
-        return None
+            other = ResiduePoly((other.value,), other.p, self.var)
+        if not isinstance(other, ResiduePoly):
+            return None
+        if other.p != self.p:
+            raise MixedPrimes("mixed primes")
+        return other
 
     # arithmetic
 
     @_operand
     def __add__(self, other):
-        var = self._merge_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ResiduePoly(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)], self.p, var
-        )
+        total = [a + b for a, b in zip_longest(self.num, other.num, fillvalue=0)]
+        return ResiduePoly(total, self.p, self._merge_var(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ResiduePoly([-c for c in self.coeffs], self.p, self.var)
+        return ResiduePoly([-c for c in self.num], self.p, self.var)
 
     @_operand
     def __mul__(self, other):
-        return ResiduePoly(_mul(self.coeffs, other.coeffs, self.p), self.p, self._merge_var(other))
+        return ResiduePoly(_mul(self.num, other.num, self.p), self.p, self._merge_var(other))
 
     __rmul__ = __mul__
 
@@ -463,7 +466,7 @@ class ResiduePoly(_DensePoly):
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         var = self._merge_var(other)
-        quo, rem = _divmod(self.coeffs, other.coeffs, self.p)
+        quo, rem = _divmod(self.num, other.num, self.p)
         return ResiduePoly(quo, self.p, var), ResiduePoly(rem, self.p, var)
 
     def __floordiv__(self, other):
@@ -478,25 +481,25 @@ class ResiduePoly(_DensePoly):
     def monic(self) -> "ResiduePoly":
         if self.is_zero():
             raise ZeroInput("zero polynomial cannot be made monic")
-        return ResiduePoly(_monic(self.coeffs, self.p), self.p, self.var)
+        return ResiduePoly(_monic(self.num, self.p), self.p, self.var)
 
     def derivative(self) -> "ResiduePoly":
-        return ResiduePoly(_derivative(self.coeffs, self.p), self.p, self.var)
+        return ResiduePoly(_derivative(self.num, self.p), self.p, self.var)
 
     def translate(self, c) -> "ResiduePoly":
         """Substitute the variable plus the constant c for the variable."""
         if isinstance(c, ResidueElem):
             c = self._check(c).coefficient(0)  # checks the prime
-        return self._of(tuple(_translate(self.coeffs, int(c) % self.p, self.p)), self.p, self.var)
+        return self._of(tuple(_translate(self.num, int(c) % self.p, self.p)), self.p, self.var)
 
     def with_var(self, var: str) -> "ResiduePoly":
-        return self._of(self.coeffs, self.p, var)
+        return self._of(self.num, self.p, var)
 
     def gcd(self, other: "ResiduePoly") -> "ResiduePoly":
         o = self._check(other)
         if o is None:
             raise TypeError(f"gcd of a residue polynomial and {type(other).__name__}")
-        return ResiduePoly(_gcd(self.coeffs, o.coeffs, self.p), self.p, self._merge_var(o))
+        return ResiduePoly(_gcd(self.num, o.num, self.p), self.p, self._merge_var(o))
 
     def pow_mod(self, exp: int, modulus: "ResiduePoly") -> "ResiduePoly":
         if exp < 0:
@@ -505,19 +508,19 @@ class ResiduePoly(_DensePoly):
         if m is None:
             raise TypeError(f"pow_mod modulo {type(modulus).__name__}")
         r = self % m  # checks the variables and a zero modulus
-        return ResiduePoly(_pow_mod(r.coeffs, exp, m.coeffs, self.p), self.p, r.var)
+        return ResiduePoly(_pow_mod(r.num, exp, m.num, self.p), self.p, r.var)
 
     def pth_root(self) -> "ResiduePoly":
         # only valid when the derivative vanishes
-        if any(c and i % self.p for i, c in enumerate(self.coeffs)):
+        if any(c and i % self.p for i, c in enumerate(self.num)):
             raise ValueError("not a p-th power")
-        return ResiduePoly(_pth_root(self.coeffs, self.p), self.p, self.var)
+        return ResiduePoly(_pth_root(self.num, self.p), self.p, self.var)
 
     # factorization
 
     def is_irreducible(self) -> bool:
         """Rabin irreducibility test."""
-        return _is_irreducible(self.coeffs, self.p)
+        return _is_irreducible(self.num, self.p)
 
     def factor(self) -> list[tuple["ResiduePoly", int]]:
         """Complete factorization into monic irreducibles with multiplicity.
@@ -528,31 +531,17 @@ class ResiduePoly(_DensePoly):
         """
         if self.is_zero():
             raise ZeroInput("cannot factor the zero polynomial")
-        f = _monic(self.coeffs, self.p)
+        f = _monic(self.num, self.p)
         return [(self._of(q, self.p, self.var), m) for q, m in _factor(f, self.p)]
 
     # misc
 
-    def _eq_key(self):
-        return (self.p, self.coeffs, self.var if len(self.coeffs) > 1 else "")
-
-    def __eq__(self, other):
-        if not isinstance(other, ResiduePoly):
-            return NotImplemented
-        return self._eq_key() == other._eq_key()
-
-    def __hash__(self):
-        return hash(self._eq_key())
-
-    def __str__(self):
-        return _format_poly(self.coeffs, 1, self.var)
-
     def __repr__(self):
-        return f"ResiduePoly({list(self.coeffs)}, p={self.p}, var={self.var!r})"
+        return f"ResiduePoly({list(self.num)}, p={self.p}, var={self.var!r})"
 
 
 # the slot setters of ``_of``: ResiduePoly.__setattr__ refuses every write
-_SET_COEFFS, _SET_P, _SET_VAR = (
+_SET_NUM, _SET_P, _SET_VAR = (
     getattr(ResiduePoly, name).__set__ for name in ResiduePoly.__slots__
 )
 
@@ -566,10 +555,10 @@ class ClosedPoint:
     polynomial is written in.
 
     The public constructor checks its polynomial: it raises ``ValueError``
-    for a constant and, by Rabin's test, for a reducible one.  The private
-    :meth:`_factor_of` checks nothing; it wraps a factor that
+    for a constant, a non-monic one and, by Rabin's test, a reducible one.
+    The private :meth:`_factor_of` checks nothing; it wraps a factor that
     ``ResiduePoly.factor`` returned, a translate of one, or a variable,
-    each irreducible by construction (see ``_factor``).
+    each monic and irreducible by construction (see ``_factor``).
     """
 
     minimal_poly: ResiduePoly
@@ -578,6 +567,8 @@ class ClosedPoint:
     def __post_init__(self):
         if self.minimal_poly.degree() < 1:
             raise ValueError("closed point needs a polynomial of degree >= 1")
+        if self.minimal_poly.leading() != 1:
+            raise ValueError(f"{self.minimal_poly} is not monic")
         if not self.minimal_poly.is_irreducible():
             raise ValueError(f"{self.minimal_poly} is not irreducible")
 
@@ -598,7 +589,7 @@ class ClosedPoint:
         return str(self.minimal_poly)
 
     def sort_key(self):
-        return (self.chart, self.minimal_poly.degree(), self.minimal_poly.coeffs)
+        return (self.chart, self.minimal_poly.degree(), self.minimal_poly.num)
 
     def __str__(self):
         return f"{{{self.minimal_poly} = 0}}"

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering, wraps
 
-from .errors import ConfigError, MixedPrimes, NegativeValuation
+from .errors import ConfigError, KernelError, MixedPrimes, NegativeValuation
 
 INFINITY = math.inf  # valuation of zero
 
@@ -151,12 +151,25 @@ NormExp.NEG_INF = NEG_INF
 
 
 class _Ring(_Immutable):
-    """The ring code the polynomial and operator classes share:
-    subtraction through negation and powers by squaring.  A subclass
-    provides ``_check`` (an operand of the ring, or None, for ``_operand``),
-    ``+``, unary ``-``, ``*``, ``one(p, var)`` and ``_NEGATIVE_POWER``."""
+    """The ring code the polynomial and operator classes share: equality
+    and hash by ``_eq_key``, subtraction through negation and powers by
+    squaring.  A subclass provides ``_check`` (an operand of the ring, or
+    None, for ``_operand`` and ``==``), ``_eq_key``, ``+``, unary ``-``,
+    ``*``, ``one(p, var)`` and ``_NEGATIVE_POWER``."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        try:
+            other = self._check(other)
+        except KernelError:  # another prime, or a truncated operator to embed
+            return False
+        if other is None:
+            return NotImplemented
+        return self._eq_key() == other._eq_key()
+
+    def __hash__(self):
+        return hash(self._eq_key())
 
     @_operand
     def __sub__(self, other):

@@ -8,8 +8,9 @@ normalization to Gauss norm one, reduction to the residue field, the
 dominant-constant-term unit test on the disc, a geometric series inverse
 with an exactly certified residual, and Newton polygon data used for
 locating roots by valuation.  The code shared with
-:class:`padicdx.residue.ResiduePoly` lives in ``padicdx.residue``
-(``_DensePoly``, ``_format_poly``) and ``padicdx.scalars._Ring``.
+:class:`padicdx.residue.ResiduePoly` is ``padicdx.residue._DensePoly``
+(structure, equality key, printer and variable rule over ``num`` and
+``den``) and ``padicdx.scalars._Ring`` (equality, subtraction, powers).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import MixedPrimes, NormTooLarge, NotAUnit, ZeroInput
-from .residue import ResiduePoly, _DensePoly, _format_poly, _mul_into
+from .residue import ResiduePoly, _DensePoly, _mul_into
 from .scalars import NEG_INF, NormExp, PAdicScalar, _operand, is_prime
 from .scalars import _fraction_valuation as _val
 
@@ -101,25 +102,10 @@ class TatePoly(_DensePoly):
 
     # structure
 
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.num) - 1
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1
-
     def coefficient(self, i: int) -> PAdicScalar:
         if 0 <= i < len(self.num):
             return PAdicScalar(Fraction(self.num[i], self.den), self.p)
         return PAdicScalar.zero(self.p)
-
-    def leading(self) -> PAdicScalar:
-        if not self.num:
-            raise ZeroInput("zero polynomial has no leading coefficient")
-        return self.coefficient(len(self.num) - 1)
 
     def _check(self, other):
         # a TatePoly first: isinstance against Fraction, an ABC, is slow
@@ -285,24 +271,6 @@ class TatePoly(_DensePoly):
         return out
 
     # misc
-
-    def _eq_key(self):
-        return (self.p, self.num, self.den, self.var if len(self.num) > 1 else "")
-
-    def __eq__(self, other):
-        if isinstance(other, PAdicScalar) and other.p != self.p:
-            return False
-        if isinstance(other, (int, Fraction, PAdicScalar)):
-            other = self._check(other)
-        if not isinstance(other, TatePoly):
-            return NotImplemented
-        return self._eq_key() == other._eq_key()
-
-    def __hash__(self):
-        return hash(self._eq_key())
-
-    def __str__(self):
-        return _format_poly(self.num, self.den, self.var)
 
     def __repr__(self):
         coeffs = [str(Fraction(a, self.den)) for a in self.num]

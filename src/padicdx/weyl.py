@@ -27,7 +27,7 @@ from itertools import zip_longest
 
 from .errors import MixedPrimes, MixedVariables, TruncatedOperand, ZeroOperator
 from .residue import _format_terms, _mul_into
-from .scalars import NormExp, PAdicScalar, _Immutable, _Ring, _operand
+from .scalars import NormExp, PAdicScalar, _Immutable, _Ring, _operand, is_prime
 from .scalars import _fraction_valuation as _val
 from .tatepoly import TatePoly, _canon
 
@@ -277,18 +277,6 @@ class _Operator(_Ring):
     def _eq_key(self):
         return self.p, self.finite, frozenset(self.coeffs.items()), self._free_var() or ""
 
-    def __eq__(self, other):
-        if isinstance(other, (TatePoly, PAdicScalar)) and other.p != self.p:
-            return False
-        if isinstance(other, (int, TatePoly, PAdicScalar)):
-            other = self._check(other)
-        if not isinstance(other, _Operator):
-            return NotImplemented
-        return self._eq_key() == other._eq_key()
-
-    def __hash__(self):
-        return hash(self._eq_key())
-
     def __str__(self):
         return _format_operator(self.coeffs)
 
@@ -402,6 +390,8 @@ class ConnectionMatrix(_Immutable):
     __slots__ = ("entries", "size", "p", "var")
 
     def __init__(self, entries, p: int, var: str = "x"):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not a prime")
         rows = [
             tuple(_coerce_poly(e, p, var) for e in row) for row in entries
         ]
@@ -424,7 +414,11 @@ class ConnectionMatrix(_Immutable):
         )
 
     def _check(self, other):
-        return other if isinstance(other, ConnectionMatrix) else None
+        if not isinstance(other, ConnectionMatrix):
+            return None
+        if other.p != self.p:
+            raise MixedPrimes("mixed primes")
+        return other
 
     @_operand
     def __add__(self, other: "ConnectionMatrix") -> "ConnectionMatrix":

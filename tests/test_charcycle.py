@@ -8,6 +8,7 @@ from padicdx import (
     CharCycle,
     ClosedPoint,
     DiffOp,
+    MixedPrimes,
     PAdicScalar,
     ResiduePoly,
     TatePoly,
@@ -131,6 +132,18 @@ def test_cc_add():
     assert cc_add(char_cycle(xd), char_cycle(xd)) == CharCycle(
         2, ((point([0, 1], p), 2),)
     )
+
+
+def test_cycles_over_different_primes_do_not_add():
+    x2, x3 = TatePoly.variable(2), TatePoly.variable(3)
+    c2 = char_cycle(DiffOp({1: x2, 0: 1}, 2))
+    c3 = char_cycle(DiffOp({1: x3 + 1, 0: 1}, 3))
+    for add in (cc_add, CharCycle.__add__):
+        with pytest.raises(MixedPrimes):
+            add(c2, c3)
+    # a cycle with no vertical line lies over no prime
+    assert cc_add(c2, CharCycle(1, ())) == CharCycle(2, c2.vertical)
+    assert cc_add(CharCycle(1, ()), c3) == CharCycle(2, c3.vertical)
 
 
 def test_product_additivity_random():

@@ -219,6 +219,8 @@ def test_closed_point_validation_and_identity():
         ClosedPoint(P([0, 0, 1]), "x")  # x^2 is reducible
     with pytest.raises(ValueError):
         ClosedPoint(P([1]), "x")  # constants are not points
+    with pytest.raises(ValueError, match="is not monic"):
+        ClosedPoint(P([2, 2], 3), "x")  # 2x + 2 is the point x = -1 of x + 1
 
 
 def test_factor_reduction_points():

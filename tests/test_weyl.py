@@ -5,6 +5,7 @@ import pytest
 from padicdx import (
     ConnectionMatrix,
     DiffOp,
+    MixedPrimes,
     NormExp,
     PAdicScalar,
     TatePoly,
@@ -186,6 +187,18 @@ def test_connection_level_examples():
     assert connection_level(ConnectionMatrix([[PAdicScalar(2, p)]], p)) == 0
     assert connection_level(ConnectionMatrix([[PAdicScalar(0.5, p)]], p)) == 1
     assert connection_level(ConnectionMatrix([[0]], p)) == 0
+
+
+def test_connection_matrix_keeps_its_prime():
+    for op in ("__add__", "__mul__"):
+        with pytest.raises(MixedPrimes):
+            getattr(ConnectionMatrix([], 2), op)(ConnectionMatrix([], 3))
+        with pytest.raises(MixedPrimes):
+            getattr(ConnectionMatrix([[1]], 2), op)(ConnectionMatrix([[1]], 3))
+    assert ConnectionMatrix([[1]], 2) != ConnectionMatrix([[1]], 3)
+    for p in (4, 1, 0, -3):
+        with pytest.raises(ValueError, match="is not a prime"):
+            ConnectionMatrix([], p)
 
 
 def test_connection_power_norm_bound():
