@@ -5,9 +5,16 @@ ascending by degree, with the trailing coefficient nonzero; the empty
 sequence is the zero polynomial.  Each algorithm exists once, as a module
 function on plain lists; :class:`ResiduePoly` checks operands and wraps
 results.  Factoring follows von zur Gathen and Gerhard, *Modern Computer
-Algebra*, ch. 14: square-free, distinct-degree and equal-degree
-splitting.  Equal-degree splitting finds linear factors over a field of
-at most ``_SCAN_MAX`` elements as roots, by evaluating at every element;
+Algebra*, ch. 14; each step changes how the unique factorization is
+found, never the sorted list.  When p is at most the degree, linear
+factors come first, by synthetic division while the remainder is 0: a
+division that leaves 0 takes exactly one factor.  One square-free
+decomposition then gives the product of the factors of each
+multiplicity, and each product is split once by distinct and equal
+degree.  The p-th power mod f is h(x^p) mod f, one remainder, where that
+is shorter than square and multiply: over F_p the two are equal.
+Equal-degree splitting finds linear factors over a field of at most
+``_SCAN_MAX`` elements as roots, by evaluating at every element;
 otherwise it draws Cantor-Zassenhaus splits from a generator seeded with
 ``_EDF_SEED`` on the first draw of each factorization, so the output is
 deterministic and a factorization that draws nothing seeds nothing.
@@ -30,7 +37,6 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from itertools import islice, zip_longest
 from operator import add
 
@@ -229,6 +235,22 @@ def _translate(a, c: int, p: int) -> list:
     return acc
 
 
+def _frobenius(h, f, p: int) -> list:
+    """h^p mod f.  Over F_p the p-th power is a ring map fixing every
+    coefficient, so h^p = h(x^p): h spread p apart, then one remainder
+    of about deg(h)·p - deg f rows.  Square and multiply makes k =
+    bit_length(p) + bit_count(p) - 2 products and as many remainders of
+    about deg f rows each; it is taken instead when the spread rows
+    exceed those 2k·deg f, which for h reduced mod f needs p > 11."""
+    n = len(f) - 1
+    size = (len(h) - 1) * p + 1
+    if size - n > 2 * (p.bit_length() + p.bit_count() - 2) * n:
+        return _pow_mod(h, p, f, p)
+    spread = [0] * size
+    spread[::p] = h
+    return _divmod(spread, f, p)[1]
+
+
 def _is_irreducible(f, p: int) -> bool:
     """Rabin's test: x^(p^n) = x mod f, and gcd(f, x^(p^(n/l)) - x) = 1
     for every prime l dividing the degree n."""
@@ -238,50 +260,87 @@ def _is_irreducible(f, p: int) -> bool:
     f, h = _monic(f, p), [0, 1]
     coprime_at = {n // ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)}
     for k in range(1, n + 1):
-        h = _pow_mod(h, p, f, p)
+        h = _frobenius(h, f, p)
         if k in coprime_at and len(_gcd(f, _sub(h, [0, 1], p), p)) != 1:
             return False
     return h == [0, 1]
 
 
+def _synthetic_div(a, c: int, p: int) -> tuple[list, int]:
+    """Quotient and remainder of a nonzero a by x - c, by Horner's rule."""
+    acc, quo = 0, []
+    for coeff in reversed(a):
+        acc = (acc * c + coeff) % p
+        quo.append(acc)
+    rem = quo.pop()
+    quo.reverse()
+    return quo, rem
+
+
 def _factor(f, p: int) -> list[tuple[tuple, int]]:
     """Monic irreducible factors of a monic f with multiplicities, sorted
-    by (degree, coefficients).
+    by (degree, coefficients).  Factorization is unique and the list is
+    sorted, so no step below changes it; they change only how it is found.
 
-    Write f = prod q^e and g = gcd(f, f').  Then f = (f / g) * g exactly:
-    f / g is the product of the q with p not dividing e, each once, and g
-    holds every such q e - 1 times and every q with p | e wholly.  So the
-    multiplicity of a factor of f / g is one plus the times it divides g,
-    and what is left of g is a p-th power, whose root counts p times.
+    1. Roots first, when p <= deg f: for each c in F_p, x - c is divided
+       out by synthetic division while the remainder is 0.  Each such
+       division takes one factor x - c, so their number is its
+       multiplicity, and what is left has no linear factor.
+    2. One square-free decomposition in characteristic p (Yun, after
+       Musser; von zur Gathen and Gerhard, ch. 14).  Write f = prod q^e,
+       g = gcd(f, f') and h = f / g, the q with p not dividing e, each
+       once.  Round i takes a_i = h / gcd(g, h), the q with e = i, then
+       divides gcd(g, h) out of g and makes it the next h; once h is 1,
+       what is left of g is a p-th power, whose root counts p times.  The
+       a_i partition those q by multiplicity, so each is found once.
+    3. Each a_i is split once by distinct and equal degree, which return
+       irreducibles by construction.
 
-    Every factor comes out of distinct- and equal-degree splitting, which
-    returns irreducibles by construction (von zur Gathen and Gerhard, ch.
-    14), and the sympy and brute-force tests check that output; so
+    The sympy and brute-force tests check that output; so
     :meth:`ClosedPoint._factor_of` wraps a factor without Rabin's test."""
-    rng = cache(partial(random.Random, _EDF_SEED))  # seeded on its first call
-    out, scale = [], 1
-    while len(f) > 1:
-        d = _derivative(f, p)
-        if not d:
-            f, scale = _pth_root(f, p), scale * p
-            continue
-        g = _gcd(f, d, p)
-        squarefree, f = _divmod(f, g, p)[0], g
-        for q in _factor_squarefree(squarefree, p, rng):
-            mult, (quo, rem) = 1, _divmod(f, q, p)
+    rng: list = []  # the generator of the random splits, made on the first draw
+    out, low = [], 0
+    if p <= len(f) - 1:
+        for c in range(p):
+            if len(f) == 1:
+                break
+            mult, (quo, rem) = 0, _synthetic_div(f, c, p)
             while not rem:
                 f, mult = quo, mult + 1
-                quo, rem = _divmod(f, q, p)
-            out.append((q, mult * scale))
+                quo, rem = _synthetic_div(f, c, p)
+            if mult:
+                out.append(((-c % p, 1), mult))
+        low = 1
+    scale = 1
+    while len(f) > 1:
+        d = _derivative(f, p)
+        if d:
+            g = _gcd(f, d, p)
+            h, i = _divmod(f, g, p)[0], scale
+            while len(h) > 1:
+                if len(g) == 1:  # every q left in h has e = i
+                    part, h = h, g
+                else:
+                    common = _gcd(g, h, p)
+                    part = _divmod(h, common, p)[0]
+                    g, h = _divmod(g, common, p)[0], common
+                out.extend((q, i) for q in _factor_squarefree(part, p, rng, low))
+                i += scale
+            f = g
+        if len(f) > 1:
+            f, scale = _pth_root(f, p), scale * p
     return sorted(out, key=lambda qm: (len(qm[0]), qm[0]))
 
 
-def _factor_squarefree(f, p: int, rng) -> list[tuple]:
-    """Factor a monic squarefree polynomial: distinct then equal degree."""
-    h, out, d = [0, 1], [], 0  # x mod f once the loop runs: deg f >= 2
-    while len(f) - 1 >= 2 * (d + 1):
+def _factor_squarefree(f, p: int, rng: list, low: int) -> list[tuple]:
+    """Factor a monic squarefree polynomial with no factor of degree low
+    or less: distinct then equal degree."""
+    out, d, h = [], 0, [0, 1]  # h is x^(p^d) mod f once the loop runs
+    while len(f) - 1 >= 2 * (max(d, low) + 1):
         d += 1
-        h = _pow_mod(h, p, f, p)
+        h = _frobenius(h, f, p)
+        if d <= low:
+            continue
         g = _gcd(f, _sub(h, [0, 1], p), p)
         if len(g) > 1:
             out.extend(_equal_degree_split(g, d, p, rng))
@@ -292,20 +351,23 @@ def _factor_squarefree(f, p: int, rng) -> list[tuple]:
     return out
 
 
-def _equal_degree_split(g, d: int, p: int, rng) -> list[tuple]:
+def _equal_degree_split(g, d: int, p: int, rng: list) -> list[tuple]:
     """Split a monic product of distinct irreducibles, all of degree d.
 
     For d = 1 and p at most ``_SCAN_MAX`` the factors are x - c for the
     roots c of g, found by evaluating g at 0, 1, ... until there are
     deg g of them.  Otherwise Cantor-Zassenhaus splits g with random
-    polynomials drawn from ``rng()``."""
+    polynomials drawn from the generator in the one-slot list ``rng``,
+    seeded with ``_EDF_SEED`` on the first draw."""
     n = len(g) - 1
     if n == d:
         return [tuple(g)]
     if d == 1 and p <= _SCAN_MAX:
         roots = (c for c in range(p) if not _value(g, c, p))
         return [(-c % p, 1) for c in islice(roots, n)]
-    randrange = rng().randrange
+    if not rng:
+        rng.append(random.Random(_EDF_SEED))
+    randrange = rng[0].randrange
     while True:
         a = _trim([randrange(p) for _ in range(n)])
         if len(a) < 2:
@@ -315,7 +377,7 @@ def _equal_degree_split(g, d: int, p: int, rng) -> list[tuple]:
             t, power = [], a
             for _ in range(d):
                 t = _sub(t, power, p)
-                power = _divmod(_mul(power, power, p), g, p)[1]
+                power = _frobenius(power, g, p)
         else:
             t = _sub(_pow_mod(a, (p**d - 1) // 2, g, p), [1], p)
         s = _gcd(g, t, p)
