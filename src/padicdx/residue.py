@@ -237,14 +237,14 @@ def _translate(a, c: int, p: int) -> list:
 
 def _frobenius(h, f, p: int) -> list:
     """h^p mod f.  Over F_p the p-th power is a ring map fixing every
-    coefficient, so h^p = h(x^p): h spread p apart, then one remainder
-    of about deg(h)·p - deg f rows.  Square and multiply makes k =
-    bit_length(p) + bit_count(p) - 2 products and as many remainders of
-    about deg f rows each; it is taken instead when the spread rows
-    exceed those 2k·deg f, which for h reduced mod f needs p > 11."""
+    coefficient, so h^p = h(x^p): h spread p apart, then one remainder.
+    Square and multiply makes k = bit_length(p) + bit_count(p) - 2
+    products and as many remainders, about 2k·(deg f - 1) rows in all;
+    it is taken when the spread remainder has no fewer rows, which for
+    h reduced mod f is from p = 11 on."""
     n = len(f) - 1
     size = (len(h) - 1) * p + 1
-    if size - n > 2 * (p.bit_length() + p.bit_count() - 2) * n:
+    if size - n >= 2 * (p.bit_length() + p.bit_count() - 2) * (n - 1):
         return _pow_mod(h, p, f, p)
     spread = [0] * size
     spread[::p] = h
@@ -289,10 +289,13 @@ def _factor(f, p: int) -> list[tuple[tuple, int]]:
     2. One square-free decomposition in characteristic p (Yun, after
        Musser; von zur Gathen and Gerhard, ch. 14).  Write f = prod q^e,
        g = gcd(f, f') and h = f / g, the q with p not dividing e, each
-       once.  Round i takes a_i = h / gcd(g, h), the q with e = i, then
-       divides gcd(g, h) out of g and makes it the next h; once h is 1,
-       what is left of g is a p-th power, whose root counts p times.  The
-       a_i partition those q by multiplicity, so each is found once.
+       once.  In round i, h is the product of those q with e >= i, and
+       g holds each of them e - i times and the q with p | e wholly; so
+       a_i = h / gcd(g, h) is the product of the q with e = i (1 when h
+       divides g), and gcd(g, h) is divided out of g and becomes the next
+       h.  Once h is 1, what is left of g is a p-th power, whose root
+       counts p times.  The a_i partition those q by multiplicity, so
+       each is found once.
     3. Each a_i is split once by distinct and equal degree, which return
        irreducibles by construction.
 
@@ -319,12 +322,16 @@ def _factor(f, p: int) -> list[tuple[tuple, int]]:
             h, i = _divmod(f, g, p)[0], scale
             while len(h) > 1:
                 if len(g) == 1:  # every q left in h has e = i
-                    part, h = h, g
-                else:
-                    common = _gcd(g, h, p)
+                    out.extend((q, i) for q in _factor_squarefree(h, p, rng, low))
+                    break
+                quo, rem = _divmod(g, h, p)
+                if rem:  # the q with e = i make up h / gcd(g, h)
+                    common = _gcd(h, rem, p)
                     part = _divmod(h, common, p)[0]
+                    out.extend((q, i) for q in _factor_squarefree(part, p, rng, low))
                     g, h = _divmod(g, common, p)[0], common
-                out.extend((q, i) for q in _factor_squarefree(part, p, rng, low))
+                else:  # h divides g: no q has e = i
+                    g = quo
                 i += scale
             f = g
         if len(f) > 1:

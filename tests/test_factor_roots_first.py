@@ -90,7 +90,8 @@ def test_rabin_test_against_trial_division(p, data):
 
 @pytest.mark.parametrize("p", PRIMES + (503,))
 def test_frobenius_is_the_p_th_power(p):
-    """Spread for the small primes, square and multiply at 503."""
+    """Spread up to p = 7; from p = 11 on, square and multiply for the
+    h of degree 7 and spread for the short ones."""
     f = ResiduePoly(list(range(1, 9)) + [1], p)
     for h in (ResiduePoly([0, 1], p), ResiduePoly([1, 2, 3], p), ResiduePoly([-1] * 8, p)):
         assert residue._frobenius(h.coeffs, f.coeffs, p) == list((h**p % f).coeffs)
